@@ -63,15 +63,16 @@ impl ConvRun {
         filters: &FilterSet,
         tol: f32,
     ) -> std::result::Result<(), String> {
+        let (out_h, out_w) = (self.output.height(), self.output.width());
+        let output = self.output.as_slice();
         for region in &self.executed_regions {
             let want = conv_reference_region(problem, input, filters, *region);
             for f in 0..region.nf {
                 for y in 0..region.h {
-                    let got: Vec<f32> = (0..region.w)
-                        .map(|x| self.output.get(region.f0 + f, region.y0 + y, region.x0 + x))
-                        .collect();
-                    let row: Vec<f32> = (0..region.w).map(|x| want.get(f, y, x)).collect();
-                    if let Some(m) = worst_mismatch(&got, &row, tol) {
+                    let start = ((region.f0 + f) * out_h + region.y0 + y) * out_w + region.x0;
+                    let got = &output[start..start + region.w];
+                    let row = &want.as_slice()[(f * region.h + y) * region.w..][..region.w];
+                    if let Some(m) = worst_mismatch(got, row, tol) {
                         return Err(format!(
                             "filter {}, output ({}, {}): got {} want {} (error {:.2e})",
                             region.f0 + f,
@@ -245,4 +246,56 @@ pub fn run_with_fallback(
     Err(ConvError::Config(
         "run_with_fallback called with no engines".into(),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NaiveConv;
+    use kconv_sim::GpuSpec;
+    use kconv_tensor::{random_filters, random_maps, CONV_TOL};
+
+    #[test]
+    fn verify_executed_pinpoints_a_corrupted_element() {
+        let problem = ConvProblem::general(11, 2, 3, 3);
+        let input = random_maps(2, 11, 11, 41);
+        let filters = random_filters(3, 2, 3, 43);
+        let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
+        let mut run = NaiveConv::default()
+            .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
+            .expect("launch");
+        // Cover the output with boxes that start off the origin in every
+        // dimension, so the row offsets into the output are exercised.
+        let (oh, ow) = (problem.out_height(), problem.out_width());
+        run.executed_regions.clear();
+        for (f0, nf) in [(0, 1), (1, 2)] {
+            for (y0, h) in [(0, 4), (4, oh - 4)] {
+                for (x0, w) in [(0, 5), (5, ow - 5)] {
+                    run.executed_regions.push(OutRegion {
+                        f0,
+                        nf,
+                        y0,
+                        x0,
+                        h,
+                        w,
+                    });
+                }
+            }
+        }
+        run.verify_executed(&problem, &input, &filters, CONV_TOL)
+            .expect("clean run verifies");
+
+        // Corrupt one element inside the last box, away from its origin.
+        let (f, y, x) = (2, oh - 2, ow - 3);
+        let want = crate::conv_reference(&problem, &input, &filters).get(f, y, x);
+        let got = want + 0.5;
+        run.output.set(f, y, x, got);
+        let error = kconv_tensor::combined_error(got, want);
+        assert_eq!(
+            run.verify_executed(&problem, &input, &filters, CONV_TOL),
+            Err(format!(
+                "filter {f}, output ({y}, {x}): got {got} want {want} (error {error:.2e})"
+            ))
+        );
+    }
 }
