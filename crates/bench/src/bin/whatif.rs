@@ -13,8 +13,9 @@
 //!    ([`GpuSpec::presets_all`]): coalesced GM transactions, SM conflict
 //!    cycles, bandwidth waste and modeled time per architecture, with
 //!    drift guards against embedded expected values. The KTRC byte
-//!    stream is decoded **once** into [`Trace`] slabs; the gate and
-//!    every sweep preset re-price the same decoded form.
+//!    stream is decoded **once** into [`Trace`] slabs; the gate re-prices
+//!    the decoded form, and every sweep preset is priced in one walk over
+//!    it ([`replay_launch_specs`]).
 //!
 //! A second, synthetic pair of traces isolates the paper's eq. 1 claim:
 //! full-warp unvectorized `float` loads (stride 4 B) replayed on 8-byte
@@ -37,7 +38,7 @@
 
 use kconv_bench::{fig8, Checker};
 use kconv_core::{Convolution, DataType, KernelShape};
-use kconv_replay::{replay_decoded, ReplayReport, TargetSpec};
+use kconv_replay::{replay_decoded, replay_launch_specs, ReplayReport, TargetSpec};
 use kconv_sim::{
     Gpu, GpuSpec, KernelStats, LaneMask, LaunchReport, OverlapMode, Parallelism, SanitizerMode,
     SimMode, TraceEvent, TraceLaunch, TraceOp, TraceSink, WARP_SIZE,
@@ -126,18 +127,17 @@ struct Row {
     report: ReplayReport,
 }
 
+/// Prices the trace's one launch under every preset in a single walk.
 fn sweep_fig8(trace: &Trace) -> Vec<Row> {
-    GpuSpec::presets_all()
-        .into_iter()
-        .map(|spec| {
-            let report = replay_decoded(trace, &TargetSpec::Spec(spec.clone()))
-                .expect("fig8 trace replays")
-                .remove(0);
-            Row {
-                spec_name: spec.name.to_string(),
-                bank_bytes: spec.bank_width.bytes(),
-                report,
-            }
+    let specs = GpuSpec::presets_all();
+    let reports = replay_launch_specs(&trace.launches()[0], &specs);
+    specs
+        .iter()
+        .zip(reports)
+        .map(|(spec, report)| Row {
+            spec_name: spec.name.to_string(),
+            bank_bytes: spec.bank_width.bytes(),
+            report,
         })
         .collect()
 }
@@ -292,11 +292,11 @@ fn main() {
     // vector factor must equal it (the factor it exists to cancel).
     println!("\n[derive] n = W_SMB / W_CD per preset vs the measured scalar-float mismatch");
     let mut derived_rows: Vec<(String, usize, f64)> = Vec::new();
-    for spec in GpuSpec::presets_all() {
-        let derived = KernelShape::derive_n(&spec, DataType::F32);
-        let measured = replay_decoded(&float_trace, &TargetSpec::Spec(spec.clone()))
-            .expect("pattern replays")[0]
-            .sm_waste();
+    let presets = GpuSpec::presets_all();
+    let measured_all = replay_launch_specs(&float_trace.launches()[0], &presets);
+    for (spec, report) in presets.iter().zip(&measured_all) {
+        let derived = KernelShape::derive_n(spec, DataType::F32);
+        let measured = report.sm_waste();
         println!(
             "  {:<22} {:>4}B banks  derived n={derived}  measured mismatch {measured}",
             spec.name,

@@ -20,7 +20,11 @@
 //!   same deterministic `(trace, spec, launch)` order;
 //! * the decode-once path prices every cell exactly as the
 //!   byte-stream path that re-decodes per spec — while decoding each
-//!   trace `1` time instead of `specs.len()` times.
+//!   trace `1` time instead of `specs.len()` times and walking each
+//!   launch once for all specs.
+//!
+//! It also reports the decoded slabs' heap bytes and the share of events
+//! held in the compact affine form.
 
 use std::time::Instant;
 
@@ -28,7 +32,7 @@ use kconv_core::{
     Convolution, GeneralConfig, GeneralConv, GeneralConvStrided, ImplicitGemmConv, SpecialConfig,
     SpecialConv, SpecialConvF16, SpecialConvHalf2, SpecialConvI8,
 };
-use kconv_replay::{replay, replay_decoded, sweep, SweepCell, TargetSpec};
+use kconv_replay::{replay, replay_decoded, replay_decoded_specs, sweep, SweepCell, TargetSpec};
 use kconv_sim::mem::lanes;
 use kconv_sim::{BankWidth, Gpu, GpuSpec, LaunchReport, Parallelism, SanitizerMode, SimMode};
 use kconv_systolic::{PipelineConfig, SystolicConv};
@@ -327,6 +331,18 @@ pub fn run(iters: usize) -> Checker {
         .map(|cap| Trace::decode(&cap.bytes).expect("corpus trace decodes"))
         .collect();
     let decode_s = t0.elapsed().as_secs_f64();
+    let events: usize = traces.iter().map(Trace::total_events).sum();
+    let affine: usize = traces
+        .iter()
+        .flat_map(Trace::launches)
+        .map(|l| l.affine_event_count())
+        .sum();
+    let heap_bytes: usize = traces.iter().map(Trace::heap_bytes).sum();
+    println!(
+        "  decoded slabs: {heap_bytes} B for {events} events ({:.1} B/event, {:.1}% affine)",
+        heap_bytes as f64 / events.max(1) as f64,
+        100.0 * affine as f64 / events.max(1) as f64,
+    );
     for (cap, trace) in captures.iter().zip(&traces) {
         let reports = replay_decoded(trace, &TargetSpec::Capture).expect("capture spec embedded");
         let ok = reports.len() == 1
@@ -421,13 +437,7 @@ pub fn run(iters: usize) -> Checker {
             .iter()
             .flat_map(|cap| {
                 let trace = Trace::decode(&cap.bytes).expect("corpus trace decodes");
-                specs
-                    .iter()
-                    .map(|s| {
-                        replay_decoded(&trace, &TargetSpec::Spec(s.clone()))
-                            .expect("decoded path replays")
-                    })
-                    .collect::<Vec<_>>()
+                replay_decoded_specs(&trace, &specs)
             })
             .collect();
         decoded_s = decoded_s.min(t0.elapsed().as_secs_f64());
@@ -507,7 +517,7 @@ pub fn run(iters: usize) -> Checker {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"replay_farm\",\n  \"corpus_trace_bytes\": {corpus_bytes},\n  \"grid_specs\": {},\n  \"corpus\": [\n{corpus_json}  ],\n  \"cells\": [\n{cells_json}  ],\n  \"sweep\": {{\"serial_seconds\": {serial_s:.6}, \"threaded_seconds\": {threaded_s:.6}, \"threads\": {threads}, \"bit_identical\": {}}},\n  \"decode_once\": {{\"decode_per_spec_seconds\": {byte_s:.6}, \"decode_once_seconds\": {decoded_s:.6}, \"speedup\": {speedup:.4}, \"corpus_decode_seconds\": {decode_s:.6}}},\n  \"lane_backend\": \"{}\",\n  \"lane_sweep_serial_seconds\": {{{lane_json}}},\n  \"host_cores\": {host_cores},\n  \"valid_scaling\": {valid_scaling},\n  \"iters\": {iters},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
+        "{{\n  \"bench\": \"replay_farm\",\n  \"corpus_trace_bytes\": {corpus_bytes},\n  \"grid_specs\": {},\n  \"corpus\": [\n{corpus_json}  ],\n  \"cells\": [\n{cells_json}  ],\n  \"sweep\": {{\"serial_seconds\": {serial_s:.6}, \"threaded_seconds\": {threaded_s:.6}, \"threads\": {threads}, \"bit_identical\": {}}},\n  \"decode_once\": {{\"decode_per_spec_seconds\": {byte_s:.6}, \"decode_once_seconds\": {decoded_s:.6}, \"speedup\": {speedup:.4}, \"corpus_decode_seconds\": {decode_s:.6}, \"events\": {events}, \"affine_events\": {affine}, \"heap_bytes\": {heap_bytes}}},\n  \"lane_backend\": \"{}\",\n  \"lane_sweep_serial_seconds\": {{{lane_json}}},\n  \"host_cores\": {host_cores},\n  \"valid_scaling\": {valid_scaling},\n  \"iters\": {iters},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
         specs.len(),
         sweeps_identical(&cells, &threaded),
         lane_auto.name(),
@@ -528,6 +538,44 @@ pub fn run(iters: usize) -> Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kconv_replay::{replay_launch, replay_launch_specs};
+
+    /// Pins the compact slab's memory claim and the batched pricer on the
+    /// real corpus: every special-kernel capture decodes fully affine, at
+    /// least 90% of all corpus events do, and pricing each launch under
+    /// several grid specs in one walk equals pricing it once per spec.
+    #[test]
+    fn corpus_decodes_mostly_affine_and_prices_batched_as_single() {
+        // The grid's two corner cells differ on every axis.
+        let grid = spec_grid();
+        let specs = [grid[0].clone(), grid[grid.len() - 1].clone()];
+        let (mut events, mut affine) = (0, 0);
+        for cap in capture_corpus() {
+            let trace = Trace::decode(&cap.bytes).expect("corpus trace decodes");
+            for launch in trace.launches() {
+                events += launch.event_count();
+                affine += launch.affine_event_count();
+                if cap.name.starts_with("special") {
+                    assert_eq!(
+                        launch.affine_event_count(),
+                        launch.event_count(),
+                        "{}",
+                        cap.name
+                    );
+                }
+                let batched = replay_launch_specs(launch, &specs);
+                for (got, spec) in batched.iter().zip(&specs) {
+                    let single = replay_launch(launch, &TargetSpec::Spec(spec.clone()))
+                        .expect("explicit spec");
+                    assert!(got == &single, "{} under {spec:?}", cap.name);
+                }
+            }
+        }
+        assert!(
+            affine * 10 >= events * 9,
+            "{affine} of {events} events affine"
+        );
+    }
 
     #[test]
     fn grid_is_sixteen_kepler_anchored_specs() {

@@ -41,13 +41,18 @@
 //!   live launcher uses.
 //!
 //! The crate is a **batch facility**, fast in both loops. Inner loop:
-//! [`Trace::decode`] parses the byte stream once into flat slabs, and
-//! [`replay_decoded`] / [`replay_launch`] re-price the in-memory form —
-//! an N-spec sweep pays the varint decoder exactly once ([`replay`] is
-//! the decode-once wrapper; [`replay_streamed`] keeps the single-pass
-//! byte path for one-shot replay of huge traces). Outer loop: the
-//! [`farm`] module fans the pure trace×spec cells of a sweep over a
-//! scoped thread pool with deterministic, thread-count-invariant output.
+//! [`Trace::decode`] parses the byte stream once into compact slabs
+//! (most events as an affine `(base, stride)` pair, see
+//! [`kconv_trace::decoded`]), and [`replay_launch_specs`] prices one
+//! decoded launch under a whole slice of specs in a single walk: each
+//! event's lane addresses are expanded once and charged to one
+//! accumulator per spec. An N-spec sweep therefore pays the varint
+//! decoder and the address expansion exactly once per event.
+//! [`replay_launch`], [`replay_decoded`], [`replay_decoded_specs`] and
+//! the decode-once [`replay`] wrapper are all built on that one walk.
+//! Outer loop: the [`farm`] module fans units of (trace, launch, chunk of
+//! specs) over a scoped thread pool with deterministic,
+//! thread-count-invariant output.
 //!
 //! ```
 //! use kconv_replay::{replay, TargetSpec};
@@ -84,10 +89,8 @@ use std::collections::HashSet;
 use kconv_sim::pricing::{
     bank_conflict_cycles, for_each_unit, ro_capacity_lines, segment_count, RoCache,
 };
-use kconv_sim::{
-    timing, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceEvent, TraceOp, WarpAddrs,
-};
-use kconv_trace::{read_trace, LaunchEnd, LaunchHeader, TraceVisitor};
+use kconv_sim::{timing, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceOp, WarpAddrs};
+use kconv_trace::{LaunchEnd, LaunchHeader};
 
 pub use farm::{sweep, sweep_cells, SweepCell};
 pub use kconv_trace::{DecodedLaunch, Trace, TraceError};
@@ -224,11 +227,9 @@ impl ReplayReport {
     }
 }
 
-/// The shared pricing core: one launch being re-priced, fed either by the
-/// streaming byte visitor ([`replay_streamed`]) or by the decoded slab
-/// walker ([`replay_launch`]). Both paths go through the same three
-/// methods, which is what makes the decoded ≡ streamed differential hold
-/// by construction.
+/// The pricing core: one launch being re-priced under one spec
+/// (begin → block_begin → event → finish). [`replay_launch_with`] drives
+/// one of these per spec from a single walk over the decoded slabs.
 struct LaunchAccum {
     header: LaunchHeader,
     spec: GpuSpec,
@@ -467,50 +468,10 @@ fn resolve_spec(header: &LaunchHeader, target: &TargetSpec) -> Result<GpuSpec, R
     }
 }
 
-/// The streaming replay engine: a [`TraceVisitor`] feeding [`LaunchAccum`].
-struct Engine<'t> {
-    target: &'t TargetSpec,
-    done: Vec<ReplayReport>,
-    open: Option<LaunchAccum>,
-    missing_spec: Option<String>,
-}
-
-impl TraceVisitor for Engine<'_> {
-    fn launch_begin(&mut self, header: &LaunchHeader) {
-        match resolve_spec(header, self.target) {
-            Ok(spec) => self.open = Some(LaunchAccum::begin(header.clone(), spec)),
-            Err(_) => {
-                if self.missing_spec.is_none() {
-                    self.missing_spec = Some(header.kernel.clone());
-                }
-                self.open = None;
-            }
-        }
-    }
-
-    fn block_begin(&mut self, _block_id: u64, _event_count: u64) {
-        if let Some(open) = self.open.as_mut() {
-            open.block_begin();
-        }
-    }
-
-    fn event(&mut self, _block_id: u64, ev: &TraceEvent) {
-        if let Some(open) = self.open.as_mut() {
-            open.event(ev.op, ev.mask, ev.lane_bytes, &ev.addrs);
-        }
-    }
-
-    fn launch_end(&mut self, end: &LaunchEnd) {
-        if let Some(open) = self.open.take() {
-            self.done.push(open.finish(end));
-        }
-    }
-}
-
 /// Re-prices every launch in a binary KTRC trace under `target`, decoding
 /// the byte stream **once** into a [`Trace`] and replaying the in-memory
 /// form. Re-pricing the same capture under many specs should decode once
-/// with [`Trace::decode`] and call [`replay_decoded`] per spec instead.
+/// with [`Trace::decode`] and call [`replay_decoded_specs`] instead.
 ///
 /// # Errors
 ///
@@ -522,34 +483,9 @@ pub fn replay(bytes: &[u8], target: &TargetSpec) -> Result<Vec<ReplayReport>, Re
     replay_decoded(&trace, target)
 }
 
-/// Re-prices every launch without materializing the trace: a single
-/// streaming pass over the byte stream. Same results as [`replay`], bit
-/// for bit (both drive the same [`LaunchAccum`] core — the differential
-/// tests pin it); use this for one-shot replay of very large traces where
-/// the decoded slabs are not worth holding.
-///
-/// # Errors
-///
-/// As [`replay`].
-pub fn replay_streamed(
-    bytes: &[u8],
-    target: &TargetSpec,
-) -> Result<Vec<ReplayReport>, ReplayError> {
-    let mut engine = Engine {
-        target,
-        done: Vec::new(),
-        open: None,
-        missing_spec: None,
-    };
-    read_trace(bytes, &mut engine)?;
-    if let Some(kernel) = engine.missing_spec {
-        return Err(ReplayError::MissingCaptureSpec { kernel });
-    }
-    Ok(engine.done)
-}
-
 /// Re-prices every launch of an already-decoded [`Trace`] under `target`.
-/// This is the farm's inner loop: decode once, call this per grid cell.
+/// To price many specs, [`replay_decoded_specs`] walks each launch once
+/// for all of them.
 ///
 /// # Errors
 ///
@@ -566,8 +502,24 @@ pub fn replay_decoded(
         .collect()
 }
 
-/// Re-prices one decoded launch under `target`: walks the flat slabs,
-/// borrowing each event's lane addresses zero-copy.
+/// Re-prices every launch of an already-decoded [`Trace`] under each of
+/// `specs` in one walk per launch. The result is indexed `[spec][launch]`:
+/// row `i` equals `replay_decoded(trace, &TargetSpec::Spec(specs[i]))`.
+pub fn replay_decoded_specs(trace: &Trace, specs: &[GpuSpec]) -> Vec<Vec<ReplayReport>> {
+    let mut rows: Vec<Vec<ReplayReport>> = specs
+        .iter()
+        .map(|_| Vec::with_capacity(trace.launches().len()))
+        .collect();
+    for launch in trace.launches() {
+        for (row, report) in rows.iter_mut().zip(replay_launch_specs(launch, specs)) {
+            row.push(report);
+        }
+    }
+    rows
+}
+
+/// Re-prices one decoded launch under `target`: the one-spec case of
+/// [`replay_launch_specs`].
 ///
 /// # Errors
 ///
@@ -578,14 +530,40 @@ pub fn replay_launch(
     target: &TargetSpec,
 ) -> Result<ReplayReport, ReplayError> {
     let spec = resolve_spec(&launch.header, target)?;
-    let mut accum = LaunchAccum::begin(launch.header.clone(), spec);
+    Ok(replay_launch_with(launch, [spec]).remove(0))
+}
+
+/// Re-prices one decoded launch under every spec of `specs` in a single
+/// walk over its slabs: each event's lane addresses are expanded once and
+/// charged to one accumulator per spec. Report `i` is bit-identical to
+/// `replay_launch(launch, &TargetSpec::Spec(specs[i].clone()))`.
+pub fn replay_launch_specs(launch: &DecodedLaunch, specs: &[GpuSpec]) -> Vec<ReplayReport> {
+    replay_launch_with(launch, specs.iter().cloned())
+}
+
+/// The one pricing walk behind every replay entry point.
+fn replay_launch_with(
+    launch: &DecodedLaunch,
+    specs: impl IntoIterator<Item = GpuSpec>,
+) -> Vec<ReplayReport> {
+    let mut accums: Vec<LaunchAccum> = specs
+        .into_iter()
+        .map(|spec| LaunchAccum::begin(launch.header.clone(), spec))
+        .collect();
     for block in launch.blocks() {
-        accum.block_begin();
-        for (head, addrs) in block.events() {
-            accum.event(head.op, head.mask, head.lane_bytes, addrs);
+        for accum in &mut accums {
+            accum.block_begin();
         }
+        block.for_each_event(|head, addrs| {
+            for accum in &mut accums {
+                accum.event(head.op, head.mask, head.lane_bytes, addrs);
+            }
+        });
     }
-    Ok(accum.finish(&launch.end))
+    accums
+        .into_iter()
+        .map(|accum| accum.finish(&launch.end))
+        .collect()
 }
 
 #[cfg(test)]
@@ -593,7 +571,7 @@ mod tests {
     use super::*;
     use kconv_sim::{
         lane_addrs, lane_addrs_uniform, Gpu, KernelStats, LaneMask, LaunchConfig, LaunchReport,
-        OverlapMode, Parallelism, SimMode, TraceLaunch, TraceSink, WARP_SIZE,
+        OverlapMode, Parallelism, SimMode, TraceEvent, TraceLaunch, TraceSink, WARP_SIZE,
     };
     use kconv_trace::varint::{write_u64, zigzag};
     use kconv_trace::{SharedBuffer, TraceWriter, MAGIC, V1};
@@ -666,12 +644,8 @@ mod tests {
             for op in TraceOp::ALL {
                 assert!(r.op(op).events > 0, "no {op} events replayed");
             }
-            // Three-way differential: the streamed byte path and the
-            // decoded slab path drive the same accumulator and must agree
-            // with each other — and, under the capture spec, with the
-            // live counters — bit for bit.
-            let streamed = replay_streamed(&bytes, &TargetSpec::Capture).unwrap();
-            assert_eq!(streamed, reports, "{parallelism:?}");
+            // The decoded slab path is the one `replay` wraps: pricing a
+            // trace decoded by hand must agree with it bit for bit.
             let decoded =
                 replay_decoded(&Trace::decode(&bytes).unwrap(), &TargetSpec::Capture).unwrap();
             assert_eq!(decoded, reports, "{parallelism:?}");
@@ -691,11 +665,12 @@ mod tests {
         }
     }
 
-    /// Decoded-vs-byte differential on seeded random streams: for
-    /// arbitrary (not just kernel-shaped) event soup, under every preset,
-    /// both replay paths must produce identical reports.
+    /// Batched-vs-single differential on seeded random streams: for
+    /// arbitrary (not just kernel-shaped) event soup, pricing a launch
+    /// under every preset in one walk must equal pricing it once per
+    /// preset, bit for bit — the per-spec accumulators share nothing.
     #[test]
-    fn decoded_and_streamed_replay_agree_on_random_streams() {
+    fn multi_spec_replay_equals_per_spec_replay_on_random_streams() {
         for seed in 0..6u64 {
             let mut rng = Rng(0xFA21_0000 + seed);
             let spec = GpuSpec::kepler_k40m();
@@ -756,17 +731,37 @@ mod tests {
             assert!(err.is_none());
             let bytes = buf.take();
             let trace = Trace::decode(&bytes).unwrap();
-            for target in [
-                TargetSpec::Capture,
-                TargetSpec::Spec(GpuSpec::kepler_k40m_4b()),
-                TargetSpec::Spec(GpuSpec::fermi_m2090()),
-                TargetSpec::Spec(GpuSpec::maxwell_like()),
-            ] {
-                let streamed = replay_streamed(&bytes, &target).unwrap();
-                let decoded = replay_decoded(&trace, &target).unwrap();
-                assert_eq!(streamed, decoded, "seed {seed}");
-                assert_eq!(replay(&bytes, &target).unwrap(), decoded, "seed {seed}");
+            let mut specs = GpuSpec::presets_all();
+            specs.extend(
+                GpuSpec::kepler_k40m()
+                    .grid()
+                    .line_sizes(&[32, 64, 128])
+                    .ro_cache_bytes(&[128, 48 * 1024])
+                    .build()
+                    .unwrap(),
+            );
+            for launch in trace.launches() {
+                let batched = replay_launch_specs(launch, &specs);
+                assert_eq!(batched.len(), specs.len());
+                for (got, spec) in batched.iter().zip(&specs) {
+                    let single = replay_launch(launch, &TargetSpec::Spec(spec.clone())).unwrap();
+                    assert_eq!(got, &single, "seed {seed} {}", spec.name);
+                }
             }
+            let rows = replay_decoded_specs(&trace, &specs);
+            for (row, spec) in rows.iter().zip(&specs) {
+                let target = TargetSpec::Spec(spec.clone());
+                assert_eq!(
+                    row,
+                    &replay_decoded(&trace, &target).unwrap(),
+                    "seed {seed}"
+                );
+            }
+            assert_eq!(
+                replay(&bytes, &TargetSpec::Capture).unwrap(),
+                replay_decoded(&trace, &TargetSpec::Capture).unwrap(),
+                "seed {seed}"
+            );
         }
     }
 

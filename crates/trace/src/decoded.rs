@@ -8,16 +8,29 @@
 //! pricing. A [`Trace`] materializes the stream into three flat slabs per
 //! launch —
 //!
-//! * fixed-size [`EventHead`]s (op, warp, mask, bytes/lane, recorded
-//!   transactions/cycles),
-//! * one contiguous `u64` lane-address slab, [`WARP_SIZE`] entries per
-//!   event in canonical form (inactive lanes zeroed), and
+//! * one fixed-size record per event: its [`EventHead`] (op, warp, mask,
+//!   bytes/lane, recorded transactions/cycles) plus the event's lane
+//!   addresses in the smaller of two exact forms,
+//! * an irregular slab of full 32-lane address rows for the events the
+//!   compact form cannot hold, and
 //! * block spans (`block_id` + event range)
 //!
-//! — no per-event `Vec`, no pointer chasing. Replay walks the slabs and
-//! borrows each event's addresses as a zero-copy
-//! [`&WarpAddrs`](kconv_sim::WarpAddrs), exactly the type the shared
-//! pricing functions take.
+//! — no per-event `Vec`, no pointer chasing.
+//!
+//! **Lane-address forms.** The paper's kernels are built from warps whose
+//! active lanes touch `base + lane × stride`, so most events are stored
+//! as that `(base, stride)` pair: 16 bytes instead of 256. The form is
+//! chosen per event at decode time: `base` and `stride` come from the
+//! first two active lanes, and the pair is kept only if rebuilding it
+//! (active lanes `base + lane·stride` under `u64` wrapping arithmetic,
+//! inactive lanes zero) reproduces all 32 canonical lanes bit for bit.
+//! Every other event keeps its 32 addresses in the irregular slab. No
+//! address can be lost, and there is no mode to choose.
+//!
+//! Replay walks the slabs with [`BlockView::for_each_event`], which hands
+//! out each event's addresses as a [`&WarpAddrs`](kconv_sim::WarpAddrs) —
+//! exactly the type the shared pricing functions take — borrowing
+//! irregular rows zero-copy and expanding affine ones into a stack buffer.
 //!
 //! The decoded form is *lossless* with respect to the pricing inputs:
 //! every header, end record and event field that [`read_launches`]
@@ -27,13 +40,13 @@
 //! [`read_trace`]: crate::read_trace
 //! [`read_launches`]: crate::read_launches
 
-use kconv_sim::{LaneMask, TraceEvent, TraceOp, WarpAddrs, WARP_SIZE};
+use kconv_sim::{LaneMask, TraceEvent, TraceOp, WarpAddrs};
 
 use crate::format::{LaunchEnd, LaunchHeader, TraceVisitor};
 use crate::TraceError;
 
 /// The fixed-size part of one traced warp instruction — everything except
-/// the lane addresses, which live in the launch's shared address slab.
+/// the lane addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHead {
     /// Which instruction.
@@ -48,6 +61,63 @@ pub struct EventHead {
     pub transactions: u32,
     /// Cycles charged at capture time.
     pub cycles: u32,
+}
+
+/// Where one event's lane addresses live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lanes {
+    /// Active lane `l` is at `base + l·stride` (wrapping); inactive lanes
+    /// are zero.
+    Affine { base: u64, stride: u64 },
+    /// Row index into the launch's irregular slab.
+    Irregular(usize),
+}
+
+/// One decoded event: its head and its lane-address form.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    head: EventHead,
+    lanes: Lanes,
+}
+
+/// The canonical addresses of the affine form: active lanes at
+/// `base + lane·stride` under wrapping arithmetic, inactive lanes zero.
+fn expand(base: u64, stride: u64, mask: LaneMask) -> WarpAddrs {
+    std::array::from_fn(|lane| {
+        let live = 0u64.wrapping_sub(u64::from((mask.0 >> lane) & 1));
+        base.wrapping_add((lane as u64).wrapping_mul(stride)) & live
+    })
+}
+
+/// The `(base, stride)` pair whose expansion is exactly `addrs`, if any.
+/// Both come from the first two active lanes (a lone active lane gets
+/// stride 0, an empty mask base 0); the pair is returned only when the
+/// expansion reproduces all 32 lanes.
+fn affine_form(mask: LaneMask, addrs: &WarpAddrs) -> Option<(u64, u64)> {
+    let (base, stride) = if mask.is_empty() {
+        (0, 0)
+    } else {
+        let l0 = mask.0.trailing_zeros() as usize;
+        let rest = mask.0 & (mask.0 - 1);
+        let stride = if rest == 0 {
+            0
+        } else {
+            let l1 = rest.trailing_zeros() as usize;
+            // Signed reinterpretation lets a negative stride divide
+            // exactly; a pair it gets wrong fails the check below.
+            let gap = (l1 - l0) as i64;
+            let delta = addrs[l1].wrapping_sub(addrs[l0]) as i64;
+            if delta % gap != 0 {
+                return None;
+            }
+            (delta / gap) as u64
+        };
+        (
+            addrs[l0].wrapping_sub((l0 as u64).wrapping_mul(stride)),
+            stride,
+        )
+    };
+    (expand(base, stride, mask) == *addrs).then_some((base, stride))
 }
 
 /// One block's event range inside a [`DecodedLaunch`].
@@ -67,9 +137,9 @@ pub struct DecodedLaunch {
     /// streaming reader).
     pub end: LaunchEnd,
     blocks: Vec<BlockSpan>,
-    heads: Vec<EventHead>,
-    /// Lane addresses, `WARP_SIZE` per event, inactive lanes zeroed.
-    addrs: Vec<u64>,
+    events: Vec<Event>,
+    /// Lane addresses of the events that are not affine, one row each.
+    irregular: Vec<WarpAddrs>,
 }
 
 impl DecodedLaunch {
@@ -82,14 +152,20 @@ impl DecodedLaunch {
                 stats: None,
             },
             blocks: Vec::new(),
-            heads: Vec::new(),
-            addrs: Vec::new(),
+            events: Vec::new(),
+            irregular: Vec::new(),
         }
     }
 
     /// Number of traced events across all blocks.
     pub fn event_count(&self) -> usize {
-        self.heads.len()
+        self.events.len()
+    }
+
+    /// Number of events stored in the compact `(base, stride)` form; the
+    /// rest hold a full row in the irregular slab.
+    pub fn affine_event_count(&self) -> usize {
+        self.events.len() - self.irregular.len()
     }
 
     /// Number of block records.
@@ -101,9 +177,16 @@ impl DecodedLaunch {
     pub fn blocks(&self) -> impl ExactSizeIterator<Item = BlockView<'_>> + '_ {
         self.blocks.iter().map(|span| BlockView {
             block_id: span.id,
-            heads: &self.heads[span.start..span.start + span.len],
-            addrs: &self.addrs[span.start * WARP_SIZE..(span.start + span.len) * WARP_SIZE],
+            events: &self.events[span.start..span.start + span.len],
+            irregular: &self.irregular,
         })
+    }
+
+    /// Heap bytes held by the launch's slabs, from their capacities.
+    fn heap_bytes(&self) -> usize {
+        self.blocks.capacity() * std::mem::size_of::<BlockSpan>()
+            + self.events.capacity() * std::mem::size_of::<Event>()
+            + self.irregular.capacity() * std::mem::size_of::<WarpAddrs>()
     }
 }
 
@@ -112,36 +195,42 @@ impl DecodedLaunch {
 pub struct BlockView<'a> {
     /// The block id recorded by the writer.
     pub block_id: u64,
-    heads: &'a [EventHead],
-    addrs: &'a [u64],
+    events: &'a [Event],
+    /// The whole launch's irregular slab (rows are indexed launch-wide).
+    irregular: &'a [WarpAddrs],
 }
 
-impl<'a> BlockView<'a> {
+impl BlockView<'_> {
     /// Number of events in this block.
     pub fn len(&self) -> usize {
-        self.heads.len()
+        self.events.len()
     }
 
     /// Whether the block recorded no events.
     pub fn is_empty(&self) -> bool {
-        self.heads.is_empty()
+        self.events.is_empty()
     }
 
-    /// The block's events in issue order, each head paired with a
-    /// zero-copy borrow of its 32 lane addresses.
-    pub fn events(&self) -> impl ExactSizeIterator<Item = (&'a EventHead, &'a WarpAddrs)> + 'a {
-        let addrs = self.addrs;
-        self.heads.iter().enumerate().map(move |(i, head)| {
-            let slice = &addrs[i * WARP_SIZE..(i + 1) * WARP_SIZE];
-            (head, <&WarpAddrs>::try_from(slice).expect("slab stride"))
-        })
+    /// Calls `f` on the block's events in issue order, each head paired
+    /// with its 32 canonical lane addresses: irregular rows are borrowed
+    /// from the slab, affine events are expanded into a stack buffer.
+    pub fn for_each_event(&self, mut f: impl FnMut(&EventHead, &WarpAddrs)) {
+        for ev in self.events {
+            match ev.lanes {
+                Lanes::Affine { base, stride } => {
+                    f(&ev.head, &expand(base, stride, ev.head.mask));
+                }
+                Lanes::Irregular(row) => f(&ev.head, &self.irregular[row]),
+            }
+        }
     }
 
     /// Re-materializes the block as owned [`TraceEvent`]s (canonical form),
     /// for comparison against [`read_launches`](crate::read_launches).
     pub fn to_events(&self) -> Vec<TraceEvent> {
-        self.events()
-            .map(|(head, addrs)| TraceEvent {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_event(|head, addrs| {
+            out.push(TraceEvent {
                 op: head.op,
                 warp: head.warp,
                 mask: head.mask,
@@ -149,8 +238,9 @@ impl<'a> BlockView<'a> {
                 transactions: head.transactions,
                 cycles: head.cycles,
                 addrs: *addrs,
-            })
-            .collect()
+            });
+        });
+        out
     }
 }
 
@@ -181,31 +271,41 @@ impl Trace {
                 if let Some(open) = self.open.as_mut() {
                     open.blocks.push(BlockSpan {
                         id: block_id,
-                        start: open.heads.len(),
+                        start: open.events.len(),
                         len: 0,
                     });
                     // The count is an untrusted varint: clamp the
                     // speculative pre-allocation so a corrupt header
                     // cannot demand gigabytes (or overflow the capacity
-                    // math) before the event bytes fail to decode.
+                    // math) before the event bytes fail to decode. The
+                    // irregular slab is never pre-sized: it grows only
+                    // with events that actually decoded.
                     let reserve = event_count.min(crate::RESERVE_EVENTS_MAX) as usize;
-                    open.heads.reserve(reserve);
-                    open.addrs.reserve(reserve * WARP_SIZE);
+                    open.events.reserve(reserve);
                 }
             }
             fn event(&mut self, _block_id: u64, ev: &TraceEvent) {
                 if let Some(open) = self.open.as_mut() {
-                    open.heads.push(EventHead {
-                        op: ev.op,
-                        warp: ev.warp,
-                        mask: ev.mask,
-                        lane_bytes: ev.lane_bytes,
-                        transactions: ev.transactions,
-                        cycles: ev.cycles,
+                    // The decoder leaves inactive lanes zeroed, so both
+                    // forms hold the canonical addresses.
+                    let lanes = match affine_form(ev.mask, &ev.addrs) {
+                        Some((base, stride)) => Lanes::Affine { base, stride },
+                        None => {
+                            open.irregular.push(ev.addrs);
+                            Lanes::Irregular(open.irregular.len() - 1)
+                        }
+                    };
+                    open.events.push(Event {
+                        head: EventHead {
+                            op: ev.op,
+                            warp: ev.warp,
+                            mask: ev.mask,
+                            lane_bytes: ev.lane_bytes,
+                            transactions: ev.transactions,
+                            cycles: ev.cycles,
+                        },
+                        lanes,
                     });
-                    // The decoder leaves inactive lanes zeroed, so the slab
-                    // holds the canonical form by construction.
-                    open.addrs.extend_from_slice(&ev.addrs);
                     if let Some(span) = open.blocks.last_mut() {
                         span.len += 1;
                     }
@@ -214,6 +314,11 @@ impl Trace {
             fn launch_end(&mut self, end: &LaunchEnd) {
                 if let Some(mut open) = self.open.take() {
                     open.end = *end;
+                    // Growth leaves up to half of each slab unused; the
+                    // launch is immutable from here on.
+                    open.blocks.shrink_to_fit();
+                    open.events.shrink_to_fit();
+                    open.irregular.shrink_to_fit();
                     self.done.push(open);
                 }
             }
@@ -237,13 +342,20 @@ impl Trace {
     pub fn total_events(&self) -> usize {
         self.launches.iter().map(DecodedLaunch::event_count).sum()
     }
+
+    /// Heap bytes held by the decoded slabs of every launch (event
+    /// records, irregular address rows and block spans), computed from
+    /// the slabs' capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.launches.iter().map(DecodedLaunch::heap_bytes).sum()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::{read_launches, SharedBuffer, TraceWriter};
-    use kconv_sim::{GpuSpec, KernelStats, OverlapMode, TraceLaunch, TraceSink};
+    use kconv_sim::{GpuSpec, KernelStats, OverlapMode, TraceLaunch, TraceSink, WARP_SIZE};
 
     /// splitmix64, as in the format round-trip property test.
     struct Rng(u64);
@@ -341,6 +453,158 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Encodes `events` as a one-block launch and decodes it again.
+    fn decode_block(events: &[TraceEvent]) -> Trace {
+        let spec = GpuSpec::kepler_k40m();
+        let buf = SharedBuffer::new();
+        let mut w = TraceWriter::new(buf.clone());
+        w.launch_begin(&TraceLaunch {
+            kernel: "forms",
+            grid_blocks: 1,
+            executed_blocks: 1,
+            threads_per_block: 32,
+            smem_bytes: 0,
+            regs_per_thread: 32,
+            overlap: OverlapMode::Prefetch,
+            spec: &spec,
+        });
+        w.block_events(0, events);
+        w.launch_end(&KernelStats::default());
+        let (_, err) = w.into_inner();
+        assert!(err.is_none());
+        Trace::decode(&buf.take()).unwrap()
+    }
+
+    fn event_with(mask: LaneMask, addr: impl Fn(usize) -> u64) -> TraceEvent {
+        TraceEvent {
+            op: TraceOp::GmLd,
+            warp: 3,
+            mask,
+            lane_bytes: 4,
+            transactions: 1,
+            cycles: 0,
+            addrs: std::array::from_fn(|l| if mask.is_active(l) { addr(l) } else { 0 }),
+        }
+    }
+
+    /// Each edge case round-trips bit for bit, and the decoder picks the
+    /// expected form: `Some((base, stride))` for affine, `None` for a row
+    /// in the irregular slab.
+    #[test]
+    fn lane_forms_are_exact_on_edge_cases() {
+        let top = u64::MAX - 40;
+        let cases = [
+            (
+                "unit stride",
+                event_with(LaneMask::ALL, |l| 4096 + 4 * l as u64),
+                Some((4096, 4)),
+            ),
+            (
+                "negative stride",
+                event_with(LaneMask::ALL, |l| 1000 - 8 * l as u64),
+                Some((1000, (-8i64) as u64)),
+            ),
+            (
+                "wraps past u64::MAX",
+                event_with(LaneMask::ALL, |l| top.wrapping_add(16 * l as u64)),
+                Some((top, 16)),
+            ),
+            (
+                "broadcast",
+                event_with(LaneMask::ALL, |_| 0x1234),
+                Some((0x1234, 0)),
+            ),
+            (
+                "single active lane 31",
+                event_with(LaneMask(1 << 31), |_| 777),
+                Some((777, 0)),
+            ),
+            (
+                "empty mask",
+                event_with(LaneMask::NONE, |_| 5),
+                Some((0, 0)),
+            ),
+            (
+                "gap does not divide delta",
+                event_with(LaneMask(0b1001), |l| 100 + 4 * (l as u64 / 3)),
+                None,
+            ),
+            (
+                "affine except the last lane",
+                event_with(LaneMask::ALL, |l| {
+                    if l == WARP_SIZE - 1 {
+                        7
+                    } else {
+                        64 * l as u64
+                    }
+                }),
+                None,
+            ),
+        ];
+        for (name, ev, want) in cases {
+            assert_eq!(affine_form(ev.mask, &ev.addrs), want, "{name}");
+            let trace = decode_block(&[ev]);
+            let launch = &trace.launches()[0];
+            assert_eq!(
+                launch.affine_event_count(),
+                usize::from(want.is_some()),
+                "{name}"
+            );
+            let got = launch.blocks().next().unwrap().to_events();
+            assert_eq!(got, vec![ev], "{name}");
+        }
+    }
+
+    /// Mixed affine and irregular events keep their issue order, and each
+    /// irregular row is found again by its launch-wide index across
+    /// blocks.
+    #[test]
+    fn mixed_forms_keep_issue_order_across_blocks() {
+        let mut rng = Rng(0xAFF1);
+        let events: Vec<TraceEvent> = (0..64)
+            .map(|i| {
+                let base = rng.next() % (1 << 40);
+                let stride = rng.next() % 64;
+                let mask = LaneMask(rng.next() as u32 | 1);
+                let mut ev = event_with(mask, |l| base + stride * l as u64);
+                if i % 3 == 0 {
+                    ev.addrs[0] ^= 1 << 20; // lane 0 is always active
+                }
+                ev
+            })
+            .collect();
+        let trace = decode_block(&events);
+        let launch = &trace.launches()[0];
+        assert_eq!(launch.event_count(), 64);
+        assert!(launch.affine_event_count() <= 64 - 22);
+        let got = launch.blocks().next().unwrap().to_events();
+        assert_eq!(got, events);
+        assert!(trace.heap_bytes() > 0);
+    }
+
+    /// The compact form is where the memory goes: a launch of affine
+    /// events holds a fraction of the 32-address rows it replaces.
+    #[test]
+    fn heap_bytes_counts_the_compact_slabs() {
+        let affine: Vec<TraceEvent> = (0..1000)
+            .map(|i| event_with(LaneMask::ALL, |l| 4096 * i + 4 * l as u64))
+            .collect();
+        let trace = decode_block(&affine);
+        assert_eq!(trace.launches()[0].affine_event_count(), 1000);
+        let row = std::mem::size_of::<WarpAddrs>();
+        assert!(
+            trace.heap_bytes() < 1000 * row / 4,
+            "{}",
+            trace.heap_bytes()
+        );
+        let scattered: Vec<TraceEvent> = (0..1000)
+            .map(|i| event_with(LaneMask::ALL, |l| (i * 31 + l as u64 * l as u64) << 3))
+            .collect();
+        let trace = decode_block(&scattered);
+        assert_eq!(trace.launches()[0].affine_event_count(), 0);
+        assert!(trace.heap_bytes() >= 1000 * row);
     }
 
     #[test]
