@@ -10,7 +10,9 @@
 //! * the serial and threaded sweeps produce bit-identical cells in
 //!   deterministic `(trace, spec, launch)` order;
 //! * the decode-once path prices every cell exactly as the byte path
-//!   that re-decodes the stream per spec.
+//!   that re-decodes the stream per spec;
+//! * the grid needs exactly the pricing groups per memory space that its
+//!   axes imply.
 //!
 //! Usage:
 //!   cargo run --release -p kconv-bench --bin farm            # report

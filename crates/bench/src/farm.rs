@@ -21,10 +21,12 @@
 //! * the decode-once path prices every cell exactly as the
 //!   byte-stream path that re-decodes per spec — while decoding each
 //!   trace `1` time instead of `specs.len()` times and walking each
-//!   launch once for all specs.
+//!   launch once for all specs;
+//! * the grid needs exactly the pricing groups its axes imply (SM 2 /
+//!   GM-load 4 / GM-store 1 / CM 1 / Bar 1).
 //!
-//! It also reports the decoded slabs' heap bytes and the share of events
-//! held in the compact affine form.
+//! It also reports the decoded slabs' heap bytes, the share of events
+//! held in the compact affine form, and the pricings per event.
 
 use std::time::Instant;
 
@@ -32,9 +34,14 @@ use kconv_core::{
     Convolution, GeneralConfig, GeneralConv, GeneralConvStrided, ImplicitGemmConv, SpecialConfig,
     SpecialConv, SpecialConvF16, SpecialConvHalf2, SpecialConvI8,
 };
-use kconv_replay::{replay, replay_decoded, replay_decoded_specs, sweep, SweepCell, TargetSpec};
+use kconv_replay::{
+    pricing_groups, replay, replay_decoded, replay_decoded_specs, sweep, Space, SweepCell,
+    TargetSpec,
+};
 use kconv_sim::mem::lanes;
-use kconv_sim::{BankWidth, Gpu, GpuSpec, LaunchReport, Parallelism, SanitizerMode, SimMode};
+use kconv_sim::{
+    BankWidth, Gpu, GpuSpec, LaunchReport, Parallelism, SanitizerMode, SimMode, TraceOp,
+};
 use kconv_systolic::{PipelineConfig, SystolicConv};
 use kconv_tensor::{random_filters, random_maps, ConvProblem};
 use kconv_trace::{SharedBuffer, Trace, TraceWriter};
@@ -415,6 +422,46 @@ pub fn run(iters: usize) -> Checker {
         "no replay errors across the grid",
     );
 
+    // --- Pricing groups: each event is priced once per distinct key ---
+    // The grid's 16 specs hold 2 bank widths (SM), 2 line sizes × 2
+    // read-only capacities (GM-load), and one store line and one
+    // constant line; the SM-count axis is timing-only.
+    let groups = pricing_groups(&specs);
+    let mut op_events = [0u64; TraceOp::COUNT];
+    for cell in cells.iter().filter(|cell| cell.spec == 0) {
+        if let Ok(r) = &cell.report {
+            for op in TraceOp::ALL {
+                op_events[op.index()] += r.op(op).events;
+            }
+        }
+    }
+    let pricings: u64 = TraceOp::ALL
+        .iter()
+        .map(|&op| op_events[op.index()] * groups[Space::of(op) as usize] as u64)
+        .sum();
+    let pricings_per_event = pricings as f64 / events.max(1) as f64;
+    let groups_line = Space::ALL
+        .iter()
+        .map(|&space| format!("{} {}", space.name(), groups[space as usize]))
+        .collect::<Vec<_>>()
+        .join(" / ");
+    println!("\n[pricing] distinct pricing keys per space over the grid");
+    println!("  {groups_line}");
+    println!(
+        "  pricings per event:   {pricings_per_event:.3}  (one per spec would be {})",
+        specs.len()
+    );
+    c.check(
+        "pricing groups per space match the grid axes",
+        groups == [2, 4, 1, 1, 1],
+        &groups_line,
+    );
+    c.eq_u64(
+        "per-op event counts cover every decoded event",
+        op_events.iter().sum(),
+        events as u64,
+    );
+
     // --- Decode-once amortization: byte path re-decodes per spec ---
     let mut byte_s = f64::INFINITY;
     let mut decoded_s = f64::INFINITY;
@@ -516,10 +563,16 @@ pub fn run(iters: usize) -> Checker {
         .map(|(b, s)| format!("\"{}\": {s:.6}", b.name()))
         .collect::<Vec<_>>()
         .join(", ");
+    let groups_json = Space::ALL
+        .iter()
+        .map(|&space| format!("\"{}\": {}", space.name(), groups[space as usize]))
+        .collect::<Vec<_>>()
+        .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"replay_farm\",\n  \"corpus_trace_bytes\": {corpus_bytes},\n  \"grid_specs\": {},\n  \"corpus\": [\n{corpus_json}  ],\n  \"cells\": [\n{cells_json}  ],\n  \"sweep\": {{\"serial_seconds\": {serial_s:.6}, \"threaded_seconds\": {threaded_s:.6}, \"threads\": {threads}, \"bit_identical\": {}}},\n  \"decode_once\": {{\"decode_per_spec_seconds\": {byte_s:.6}, \"decode_once_seconds\": {decoded_s:.6}, \"speedup\": {speedup:.4}, \"corpus_decode_seconds\": {decode_s:.6}, \"events\": {events}, \"affine_events\": {affine}, \"heap_bytes\": {heap_bytes}}},\n  \"lane_backend\": \"{}\",\n  \"lane_sweep_serial_seconds\": {{{lane_json}}},\n  \"host_cores\": {host_cores},\n  \"valid_scaling\": {valid_scaling},\n  \"iters\": {iters},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
+        "{{\n  \"bench\": \"replay_farm\",\n  \"corpus_trace_bytes\": {corpus_bytes},\n  \"grid_specs\": {},\n  \"corpus\": [\n{corpus_json}  ],\n  \"cells\": [\n{cells_json}  ],\n  \"sweep\": {{\"serial_seconds\": {serial_s:.6}, \"threaded_seconds\": {threaded_s:.6}, \"threads\": {threads}, \"bit_identical\": {}}},\n  \"decode_once\": {{\"decode_per_spec_seconds\": {byte_s:.6}, \"decode_once_seconds\": {decoded_s:.6}, \"speedup\": {speedup:.4}, \"corpus_decode_seconds\": {decode_s:.6}, \"events\": {events}, \"affine_events\": {affine}, \"heap_bytes\": {heap_bytes}}},\n  \"pricing\": {{\"groups\": {{{groups_json}}}, \"pricings_per_event\": {pricings_per_event:.4}, \"specs\": {}}},\n  \"lane_backend\": \"{}\",\n  \"lane_sweep_serial_seconds\": {{{lane_json}}},\n  \"host_cores\": {host_cores},\n  \"valid_scaling\": {valid_scaling},\n  \"iters\": {iters},\n  \"checks\": {},\n  \"failures\": {}\n}}\n",
         specs.len(),
         sweeps_identical(&cells, &threaded),
+        specs.len(),
         lane_auto.name(),
         c.checks,
         c.failures,

@@ -4,14 +4,15 @@
 //! A sweep cell — "re-price launch L of trace T under spec S" — touches
 //! only immutable inputs ([`Trace`] slabs and a [`GpuSpec`]) and produces
 //! an owned [`ReplayReport`], so cells are embarrassingly parallel. The
-//! unit of work is one launch under a *chunk* of its trace's requested
+//! unit of work is one whole launch under all of its trace's requested
 //! specs, priced in one walk by [`replay_launch_specs`]'s core: each
-//! event's addresses are expanded once per unit, not once per cell. The
-//! serial path prices every spec of a launch as one unit; with `w`
-//! workers each launch's specs split into at most `w` chunks so the pool
-//! has work to balance. The engine distributes units over
-//! `std::thread::scope` workers (no external dependencies, an atomic
-//! work index, per-worker result buffers) and then places every report
+//! event's addresses are expanded once per unit and priced once per
+//! distinct pricing key, not once per cell. Units are never split by
+//! spec: specs share pricing keys, so every extra chunk would price the
+//! shared keys again. The pool balances whole launches instead, longest
+//! first. The engine distributes units over `std::thread::scope` workers
+//! (no external dependencies, an atomic work index, per-worker result
+//! buffers) and then places every report
 //! into its pre-assigned slot, so the output is **bit-identical and
 //! deterministically ordered** — ascending `(trace, spec, launch)` — no
 //! matter the thread count or the order cells were requested in. The
@@ -90,26 +91,28 @@ pub fn sweep_cells(
         let trace = work[start].0;
         let len = work[start..].partition_point(|&(t, _)| t == trace);
         let launches = traces[trace].launches().len();
-        let chunk = len.div_ceil(workers);
         for launch in 0..launches {
-            for k in (0..len).step_by(chunk) {
-                units.push(Unit {
-                    trace,
-                    launch,
-                    specs: start + k..start + len.min(k + chunk),
-                    first_slot: offset + k * launches + launch,
-                    slot_stride: launches,
-                });
-            }
+            units.push(Unit {
+                trace,
+                launch,
+                specs: start..start + len,
+                first_slot: offset + launch,
+                slot_stride: launches,
+            });
         }
         start += len;
         offset += len * launches;
     }
+    // Longest first, so no long launch starts last while the other
+    // workers sit idle. Reports are placed by slot, so the order units
+    // run in never reaches the output.
+    units.sort_by_key(|u| {
+        let events = traces[u.trace].launches()[u.launch].event_count();
+        std::cmp::Reverse(events * u.specs.len())
+    });
 
     let price = |unit: &Unit| {
-        let specs = work[unit.specs.clone()]
-            .iter()
-            .map(|&(_, s)| specs[s].clone());
+        let specs = work[unit.specs.clone()].iter().map(|&(_, s)| &specs[s]);
         replay_launch_with(&traces[unit.trace].launches()[unit.launch], specs)
     };
 
@@ -164,13 +167,13 @@ pub fn sweep_cells(
         .collect()
 }
 
-/// One unit of sweep work: a launch priced under a chunk of its trace's
+/// One unit of sweep work: a launch priced under all of its trace's
 /// requested specs (a range into the canonical cell list).
 struct Unit {
     trace: usize,
     launch: usize,
     specs: std::ops::Range<usize>,
-    /// Output slot of the chunk's first spec; each further spec is
+    /// Output slot of the unit's first spec; each further spec is
     /// `slot_stride` (the trace's launch count) later.
     first_slot: usize,
     slot_stride: usize,

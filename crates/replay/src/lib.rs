@@ -44,14 +44,19 @@
 //! [`Trace::decode`] parses the byte stream once into compact slabs
 //! (most events as an affine `(base, stride)` pair, see
 //! [`kconv_trace::decoded`]), and [`replay_launch_specs`] prices one
-//! decoded launch under a whole slice of specs in a single walk: each
-//! event's lane addresses are expanded once and charged to one
-//! accumulator per spec. An N-spec sweep therefore pays the varint
-//! decoder and the address expansion exactly once per event.
-//! [`replay_launch`], [`replay_decoded`], [`replay_decoded_specs`] and
-//! the decode-once [`replay`] wrapper are all built on that one walk.
-//! Outer loop: the [`farm`] module fans units of (trace, launch, chunk of
-//! specs) over a scoped thread pool with deterministic,
+//! decoded launch under a whole slice of specs in a single walk. Each
+//! memory [`Space`] reads only a few spec fields (shared memory the bank
+//! count and width, global loads the line size and read-only capacity,
+//! global stores the store line, constant memory the constant line), so
+//! the walk keeps one pricer per distinct key of each space and charges
+//! each event only to its own space's pricers; each spec's report is then
+//! summed from its pricers and timed under the full spec. An N-spec sweep
+//! therefore pays the varint decoder and the address expansion once per
+//! event, and the pricing once per distinct key ([`pricing_groups`]), not
+//! once per spec. [`replay_launch`], [`replay_decoded`],
+//! [`replay_decoded_specs`] and the decode-once [`replay`] wrapper are
+//! all built on that one walk. Outer loop: the [`farm`] module fans whole
+//! launches over a scoped thread pool with deterministic,
 //! thread-count-invariant output.
 //!
 //! ```
@@ -89,8 +94,10 @@ use std::collections::HashSet;
 use kconv_sim::pricing::{
     bank_conflict_cycles, for_each_unit, ro_capacity_lines, segment_count, RoCache,
 };
-use kconv_sim::{timing, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceOp, WarpAddrs};
-use kconv_trace::{LaunchEnd, LaunchHeader};
+use kconv_sim::{
+    timing, BankWidth, GpuSpec, KernelStats, LaneMask, LaunchConfig, Timing, TraceOp, WarpAddrs,
+};
+use kconv_trace::LaunchHeader;
 
 pub use farm::{sweep, sweep_cells, SweepCell};
 pub use kconv_trace::{DecodedLaunch, Trace, TraceError};
@@ -227,49 +234,224 @@ impl ReplayReport {
     }
 }
 
-/// The pricing core: one launch being re-priced under one spec
-/// (begin → block_begin → event → finish). [`replay_launch_with`] drives
-/// one of these per spec from a single walk over the decoded slabs.
-struct LaunchAccum {
-    header: LaunchHeader,
-    spec: GpuSpec,
+/// The memory space an op's pricing charges. Each space's pricing reads
+/// its own [`GpuSpec`] fields and nothing else (see [`pricing_groups`]),
+/// so specs that agree on those fields price that space's events
+/// identically and share one pricer in the replay walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Space {
+    /// Shared memory (`SmLd`, `SmSt`): bank count and bank width.
+    Sm,
+    /// Global-memory loads, plain and read-only path (`GmLd`, `GmLdRo`):
+    /// load line size and read-only cache capacity.
+    GmLoad,
+    /// Global-memory stores (`GmSt`): store transaction size.
+    GmStore,
+    /// Constant memory (`CmLd`): constant-cache line size.
+    Cm,
+    /// Barrier arrivals (`Bar`): no spec field, so one pricer serves any
+    /// set of specs.
+    Bar,
+}
+
+impl Space {
+    /// Number of spaces (array-index bound for per-space tables).
+    pub const COUNT: usize = 5;
+
+    /// All spaces, in index order.
+    pub const ALL: [Space; Space::COUNT] = [
+        Space::Sm,
+        Space::GmLoad,
+        Space::GmStore,
+        Space::Cm,
+        Space::Bar,
+    ];
+
+    /// The space whose pricing charges `op`.
+    pub fn of(op: TraceOp) -> Space {
+        match op {
+            TraceOp::SmLd | TraceOp::SmSt => Space::Sm,
+            TraceOp::GmLd | TraceOp::GmLdRo => Space::GmLoad,
+            TraceOp::GmSt => Space::GmStore,
+            TraceOp::CmLd => Space::Cm,
+            TraceOp::Bar => Space::Bar,
+        }
+    }
+
+    /// Short display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Space::Sm => "SM",
+            Space::GmLoad => "GM-load",
+            Space::GmStore => "GM-store",
+            Space::Cm => "CM",
+            Space::Bar => "Bar",
+        }
+    }
+}
+
+/// The spec fields one space's pricing reads: the grouping key of the
+/// replay walk's pricers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PricingKey {
+    Sm {
+        banks: u32,
+        width: BankWidth,
+    },
+    GmLoad {
+        line_bytes: u64,
+        ro_cache_bytes: u64,
+    },
+    GmStore {
+        line_bytes: u64,
+    },
+    Cm {
+        line_bytes: u64,
+    },
+    Bar,
+}
+
+impl PricingKey {
+    fn space(self) -> Space {
+        match self {
+            PricingKey::Sm { .. } => Space::Sm,
+            PricingKey::GmLoad { .. } => Space::GmLoad,
+            PricingKey::GmStore { .. } => Space::GmStore,
+            PricingKey::Cm { .. } => Space::Cm,
+            PricingKey::Bar => Space::Bar,
+        }
+    }
+}
+
+/// Sorts every [`GpuSpec`] field into the space whose pricing reads it, or
+/// into timing-only, and returns the spec's key per space (indexed by
+/// `Space as usize`). The destructuring names every field, with no `..`:
+/// a new spec field fails to compile here until someone classifies it, so
+/// a pricing key can never miss a field its pricing reads.
+fn pricing_keys(spec: &GpuSpec) -> [PricingKey; Space::COUNT] {
+    let GpuSpec {
+        smem_banks,
+        bank_width,
+        gm_transaction_bytes,
+        ro_cache_bytes,
+        gm_store_transaction_bytes,
+        cm_line_bytes,
+        // Timing-only (or, like `name`, descriptive): read by
+        // `timing::evaluate`, never by event pricing.
+        name: _,
+        sm_count: _,
+        cores_per_sm: _,
+        clock_ghz: _,
+        smem_bytes_per_sm: _,
+        max_threads_per_sm: _,
+        max_blocks_per_sm: _,
+        regs_per_sm: _,
+        max_smem_per_block: _,
+        gm_bandwidth_gbs: _,
+        cm_bytes: _,
+        latency_hiding_warps: _,
+        issue_efficiency: _,
+    } = *spec;
+    [
+        PricingKey::Sm {
+            banks: smem_banks,
+            width: bank_width,
+        },
+        PricingKey::GmLoad {
+            line_bytes: gm_transaction_bytes,
+            ro_cache_bytes,
+        },
+        PricingKey::GmStore {
+            line_bytes: gm_store_transaction_bytes,
+        },
+        PricingKey::Cm {
+            line_bytes: cm_line_bytes,
+        },
+        PricingKey::Bar,
+    ]
+}
+
+/// Which pricers a list of specs needs: one per distinct key per space.
+struct PricingPlan {
+    /// Distinct keys per space, in first-seen order.
+    keys: [Vec<PricingKey>; Space::COUNT],
+    /// Per spec, the index of its key in each space's list.
+    slots: Vec<[usize; Space::COUNT]>,
+}
+
+impl PricingPlan {
+    fn new<'a>(specs: impl IntoIterator<Item = &'a GpuSpec>) -> Self {
+        let mut keys: [Vec<PricingKey>; Space::COUNT] = Default::default();
+        let slots = specs
+            .into_iter()
+            .map(|spec| {
+                let spec_keys = pricing_keys(spec);
+                std::array::from_fn(|space| {
+                    let group = &mut keys[space];
+                    let key = spec_keys[space];
+                    group.iter().position(|k| *k == key).unwrap_or_else(|| {
+                        group.push(key);
+                        group.len() - 1
+                    })
+                })
+            })
+            .collect();
+        PricingPlan { keys, slots }
+    }
+}
+
+/// Distinct pricing keys per space (indexed by `Space as usize`) that
+/// replaying under `specs` needs: the number of pricers each event of that
+/// space is charged to. A launch priced under all of `specs` costs, per
+/// event, this many pricings instead of `specs.len()`.
+pub fn pricing_groups(specs: &[GpuSpec]) -> [usize; Space::COUNT] {
+    PricingPlan::new(specs).keys.map(|group| group.len())
+}
+
+/// The pricing core: one space of one launch being re-priced under one
+/// [`PricingKey`] (block_begin → event). It charges only its space's
+/// counters and per-op rows, so the pricers of one spec touch disjoint
+/// fields and sum into that spec's stats.
+struct Pricer {
+    key: PricingKey,
     stats: KernelStats,
     per_op: [OpCost; TraceOp::COUNT],
-    /// Per-block read-only (texture) cache, fresh at each `block_begin` —
-    /// the same reset discipline as the live simulator.
+    /// `GmLoad` only: the per-block read-only (texture) cache, fresh at
+    /// each `block_begin` — the same reset discipline as the live
+    /// simulator.
     ro: RoCache,
-    /// Launch-scoped constant-cache residency: lines (address ÷ line
-    /// bytes) touched so far. The live model never evicts within a
-    /// launch, so a `HashSet` reproduces its miss count exactly.
+    /// `Cm` only: launch-scoped constant-cache residency, the lines
+    /// (address ÷ line bytes) touched so far. The live model never evicts
+    /// within a launch, so a `HashSet` reproduces its miss count exactly.
     cm_lines: HashSet<u64>,
 }
 
-impl LaunchAccum {
-    fn begin(header: LaunchHeader, spec: GpuSpec) -> Self {
-        let ro_capacity = ro_capacity_lines(spec.ro_cache_bytes, spec.gm_transaction_bytes);
-        LaunchAccum {
-            header,
-            spec,
+impl Pricer {
+    fn new(key: PricingKey) -> Self {
+        Pricer {
+            key,
             stats: KernelStats::default(),
             per_op: [OpCost::default(); TraceOp::COUNT],
-            ro: RoCache::new(ro_capacity),
+            ro: RoCache::new(0),
             cm_lines: HashSet::new(),
         }
     }
 
     fn block_begin(&mut self) {
-        self.stats.blocks_executed += 1;
         // The read-only cache is per-SM, per-block residency in the live
         // model: fresh for every block.
-        self.ro = RoCache::new(ro_capacity_lines(
-            self.spec.ro_cache_bytes,
-            self.spec.gm_transaction_bytes,
-        ));
+        if let PricingKey::GmLoad {
+            line_bytes,
+            ro_cache_bytes,
+        } = self.key
+        {
+            self.ro = RoCache::new(ro_capacity_lines(ro_cache_bytes, line_bytes));
+        }
     }
 
-    /// Re-prices one event, updating the stats exactly the way the live
-    /// memory models charge their counters (`GmPlane`, `SharedMemory`,
-    /// `CmPlane` in `kconv-sim`).
+    /// Re-prices one event of this pricer's space, updating the stats
+    /// exactly the way the live memory models charge their counters
+    /// (`GmPlane`, `SharedMemory`, `CmPlane` in `kconv-sim`).
     fn event(&mut self, op: TraceOp, mask: LaneMask, lane_bytes: u32, addrs: &WarpAddrs) {
         let (tx, cycles) = self.price(op, mask, lane_bytes, addrs);
         let t = &mut self.per_op[op.index()];
@@ -288,33 +470,20 @@ impl LaunchAccum {
         lane_bytes: u32,
         addrs: &WarpAddrs,
     ) -> (u64, u64) {
-        let spec = &self.spec;
+        debug_assert_eq!(
+            self.key.space(),
+            Space::of(op),
+            "{op} routed to the wrong space"
+        );
         let stats = &mut self.stats;
         let ro = &mut self.ro;
         let cm_lines = &mut self.cm_lines;
         let width = u64::from(lane_bytes);
         let useful = u64::from(mask.count()) * width;
-        match op {
-            TraceOp::GmLd => {
-                let seg = spec.gm_transaction_bytes;
-                let segs = segment_count(addrs, width, mask, seg);
-                stats.gm_ld_requests += 1;
-                stats.gm_ld_transactions += segs;
-                stats.gm_ld_bytes_bus += segs * seg;
-                stats.gm_ld_bytes_useful += useful;
-                (segs, 0)
-            }
-            TraceOp::GmSt => {
-                let seg = spec.gm_store_transaction_bytes;
-                let segs = segment_count(addrs, width, mask, seg);
-                stats.gm_st_requests += 1;
-                stats.gm_st_transactions += segs;
-                stats.gm_st_bytes_bus += segs * seg;
-                stats.gm_st_bytes_useful += useful;
-                (segs, 0)
-            }
-            TraceOp::GmLdRo => {
-                let seg = spec.gm_transaction_bytes;
+        match self.key {
+            PricingKey::GmLoad {
+                line_bytes: seg, ..
+            } if op == TraceOp::GmLdRo => {
                 let mut misses = 0u64;
                 for_each_unit(addrs, width, mask, seg, |line, first_visit| {
                     if first_visit {
@@ -331,9 +500,26 @@ impl LaunchAccum {
                 stats.gm_ld_bytes_useful += useful;
                 (misses, 0)
             }
-            TraceOp::SmLd | TraceOp::SmSt => {
-                let out =
-                    bank_conflict_cycles(addrs, width, mask, spec.smem_banks, spec.bank_width);
+            PricingKey::GmLoad {
+                line_bytes: seg, ..
+            } => {
+                let segs = segment_count(addrs, width, mask, seg);
+                stats.gm_ld_requests += 1;
+                stats.gm_ld_transactions += segs;
+                stats.gm_ld_bytes_bus += segs * seg;
+                stats.gm_ld_bytes_useful += useful;
+                (segs, 0)
+            }
+            PricingKey::GmStore { line_bytes: seg } => {
+                let segs = segment_count(addrs, width, mask, seg);
+                stats.gm_st_requests += 1;
+                stats.gm_st_transactions += segs;
+                stats.gm_st_bytes_bus += segs * seg;
+                stats.gm_st_bytes_useful += useful;
+                (segs, 0)
+            }
+            PricingKey::Sm { banks, width: bank } => {
+                let out = bank_conflict_cycles(addrs, width, mask, banks, bank);
                 if op == TraceOp::SmLd {
                     stats.sm_ld_requests += 1;
                     stats.sm_ld_cycles += out.cycles;
@@ -346,7 +532,7 @@ impl LaunchAccum {
                 stats.sm_conflict_histogram[KernelStats::conflict_bucket(out.cycles)] += 1;
                 (0, out.cycles)
             }
-            TraceOp::CmLd => {
+            PricingKey::Cm { line_bytes } => {
                 // The live model dedups at word (not lane-width)
                 // granularity and counts a first-touched line as a miss.
                 // Distinct counting runs on the dispatched lane backend;
@@ -360,7 +546,6 @@ impl LaunchAccum {
                         stats.cm_misses += 1;
                     }
                 };
-                let line_bytes = spec.cm_line_bytes;
                 let distinct = match kconv_sim::mem::lanes::unit_bounds(addrs, 1, mask, 1) {
                     None => 0,
                     Some((lo, hi)) if lo == hi => {
@@ -390,68 +575,68 @@ impl LaunchAccum {
                 stats.cm_cycles += cycles;
                 (0, cycles)
             }
-            TraceOp::Bar => {
-                // Barrier arrivals touch no memory and are
-                // architecture-independent: the counters come from the
-                // launch-end graft, so repricing charges nothing here.
-                (0, 0)
-            }
+            // Barrier arrivals touch no memory and are
+            // architecture-independent: the counters come from the
+            // launch-end graft, so repricing charges nothing here.
+            PricingKey::Bar => (0, 0),
         }
     }
+}
 
-    fn finish(mut self, end: &LaunchEnd) -> ReplayReport {
-        let grid = self.header.grid_blocks;
-        let executed = self.stats.blocks_executed;
-        if end.aborted {
-            // A faulted capture has no final live stats: report the clean
-            // prefix as-is, unscaled.
-            self.stats.blocks_total = grid;
-        } else if executed == grid {
-            self.stats.blocks_total = grid;
-        } else {
-            // Sampled capture: extrapolate with the live launcher's
-            // round-to-nearest rule.
-            self.stats = self.stats.scaled_to_blocks(grid, executed.max(1));
+/// Assembles one spec's report from its launch-wide pieces: the summed
+/// stats of its pricers, the per-op table, and the launch's end record.
+fn finish(
+    launch: &DecodedLaunch,
+    cfg: &LaunchConfig,
+    spec: &GpuSpec,
+    mut stats: KernelStats,
+    per_op: [OpCost; TraceOp::COUNT],
+) -> ReplayReport {
+    let header = &launch.header;
+    let end = &launch.end;
+    let grid = header.grid_blocks;
+    let executed = stats.blocks_executed;
+    if end.aborted {
+        // A faulted capture has no final live stats: report the clean
+        // prefix as-is, unscaled.
+        stats.blocks_total = grid;
+    } else if executed == grid {
+        stats.blocks_total = grid;
+    } else {
+        // Sampled capture: extrapolate with the live launcher's
+        // round-to-nearest rule.
+        stats = stats.scaled_to_blocks(grid, executed.max(1));
+    }
+    // Arithmetic and barrier counts are not memory events — graft them
+    // from the (already scaled) launch-end stats. v1 ends carry only the
+    // FMA count.
+    if let Some(live) = &end.stats {
+        stats.fma_lane_ops = live.fma_lane_ops;
+        stats.alu_lane_ops = live.alu_lane_ops;
+        stats.barriers = live.barriers;
+        stats.bar_syncs = live.bar_syncs;
+    } else {
+        stats.fma_lane_ops = end.fma_lane_ops;
+    }
+    let (timing, timing_error) = if end.aborted {
+        (None, None)
+    } else {
+        match timing::evaluate(spec, cfg, &stats) {
+            Ok(t) => (Some(t), None),
+            Err(e) => (None, Some(e.to_string())),
         }
-        // Arithmetic and barrier counts are not memory events — graft
-        // them from the (already scaled) launch-end stats. v1 ends carry
-        // only the FMA count.
-        if let Some(live) = &end.stats {
-            self.stats.fma_lane_ops = live.fma_lane_ops;
-            self.stats.alu_lane_ops = live.alu_lane_ops;
-            self.stats.barriers = live.barriers;
-            self.stats.bar_syncs = live.bar_syncs;
-        } else {
-            self.stats.fma_lane_ops = end.fma_lane_ops;
-        }
-        let (timing, timing_error) = if end.aborted {
-            (None, None)
-        } else {
-            let cfg = LaunchConfig {
-                name: self.header.kernel.clone(),
-                blocks: grid as usize,
-                threads_per_block: self.header.threads_per_block as usize,
-                smem_bytes: self.header.smem_bytes as u32,
-                regs_per_thread: self.header.regs_per_thread as u32,
-                overlap: self.header.overlap,
-            };
-            match timing::evaluate(&self.spec, &cfg, &self.stats) {
-                Ok(t) => (Some(t), None),
-                Err(e) => (None, Some(e.to_string())),
-            }
-        };
-        ReplayReport {
-            kernel: self.header.kernel,
-            grid_blocks: grid,
-            executed_blocks: executed,
-            capture_spec: self.header.spec,
-            target_spec: self.spec,
-            stats: self.stats,
-            per_op: self.per_op,
-            timing,
-            timing_error,
-            aborted: end.aborted,
-        }
+    };
+    ReplayReport {
+        kernel: header.kernel.clone(),
+        grid_blocks: grid,
+        executed_blocks: executed,
+        capture_spec: header.spec.clone(),
+        target_spec: spec.clone(),
+        stats,
+        per_op,
+        timing,
+        timing_error,
+        aborted: end.aborted,
     }
 }
 
@@ -530,39 +715,66 @@ pub fn replay_launch(
     target: &TargetSpec,
 ) -> Result<ReplayReport, ReplayError> {
     let spec = resolve_spec(&launch.header, target)?;
-    Ok(replay_launch_with(launch, [spec]).remove(0))
+    Ok(replay_launch_with(launch, [&spec]).remove(0))
 }
 
 /// Re-prices one decoded launch under every spec of `specs` in a single
-/// walk over its slabs: each event's lane addresses are expanded once and
-/// charged to one accumulator per spec. Report `i` is bit-identical to
+/// walk over its slabs. Each event's lane addresses are expanded once and
+/// priced once per distinct [`pricing_groups`] key of its space, not once
+/// per spec. Report `i` is bit-identical to
 /// `replay_launch(launch, &TargetSpec::Spec(specs[i].clone()))`.
 pub fn replay_launch_specs(launch: &DecodedLaunch, specs: &[GpuSpec]) -> Vec<ReplayReport> {
-    replay_launch_with(launch, specs.iter().cloned())
+    replay_launch_with(launch, specs)
 }
 
-/// The one pricing walk behind every replay entry point.
-fn replay_launch_with(
+/// The one pricing walk behind every replay entry point: one [`Pricer`]
+/// per distinct key per space, each event routed only to its space's
+/// pricers, then each spec's report summed from its own pricers.
+fn replay_launch_with<'a>(
     launch: &DecodedLaunch,
-    specs: impl IntoIterator<Item = GpuSpec>,
+    specs: impl IntoIterator<Item = &'a GpuSpec>,
 ) -> Vec<ReplayReport> {
-    let mut accums: Vec<LaunchAccum> = specs
-        .into_iter()
-        .map(|spec| LaunchAccum::begin(launch.header.clone(), spec))
-        .collect();
+    let specs: Vec<&GpuSpec> = specs.into_iter().collect();
+    let PricingPlan { keys, slots } = PricingPlan::new(specs.iter().copied());
+    let mut groups: [Vec<Pricer>; Space::COUNT] =
+        keys.map(|group| group.into_iter().map(Pricer::new).collect());
+    let mut blocks = 0u64;
     for block in launch.blocks() {
-        for accum in &mut accums {
-            accum.block_begin();
+        blocks += 1;
+        for pricer in &mut groups[Space::GmLoad as usize] {
+            pricer.block_begin();
         }
         block.for_each_event(|head, addrs| {
-            for accum in &mut accums {
-                accum.event(head.op, head.mask, head.lane_bytes, addrs);
+            for pricer in &mut groups[Space::of(head.op) as usize] {
+                pricer.event(head.op, head.mask, head.lane_bytes, addrs);
             }
         });
     }
-    accums
+
+    let header = &launch.header;
+    let cfg = LaunchConfig {
+        name: header.kernel.clone(),
+        blocks: header.grid_blocks as usize,
+        threads_per_block: header.threads_per_block as usize,
+        smem_bytes: header.smem_bytes as u32,
+        regs_per_thread: header.regs_per_thread as u32,
+        overlap: header.overlap,
+    };
+    specs
         .into_iter()
-        .map(|accum| accum.finish(&launch.end))
+        .zip(slots)
+        .map(|(spec, slot)| {
+            let pricer = |space: Space| &groups[space as usize][slot[space as usize]];
+            let mut stats = KernelStats {
+                blocks_executed: blocks,
+                ..KernelStats::default()
+            };
+            for space in Space::ALL {
+                stats.merge(&pricer(space).stats);
+            }
+            let per_op = std::array::from_fn(|i| pricer(Space::of(TraceOp::ALL[i])).per_op[i]);
+            finish(launch, &cfg, spec, stats, per_op)
+        })
         .collect()
 }
 
@@ -570,8 +782,9 @@ fn replay_launch_with(
 mod tests {
     use super::*;
     use kconv_sim::{
-        lane_addrs, lane_addrs_uniform, Gpu, KernelStats, LaneMask, LaunchConfig, LaunchReport,
-        OverlapMode, Parallelism, SimMode, TraceEvent, TraceLaunch, TraceSink, WARP_SIZE,
+        lane_addrs, lane_addrs_uniform, BankWidth, Gpu, KernelStats, LaneMask, LaunchConfig,
+        LaunchReport, OverlapMode, Parallelism, SimMode, TraceEvent, TraceLaunch, TraceSink,
+        WARP_SIZE,
     };
     use kconv_trace::varint::{write_u64, zigzag};
     use kconv_trace::{SharedBuffer, TraceWriter, MAGIC, V1};
@@ -665,71 +878,77 @@ mod tests {
         }
     }
 
+    /// A seeded random KTRC stream: one to three launches of arbitrary
+    /// (not kernel-shaped) event soup — scattered and strided lanes,
+    /// empty, single-lane, full and random masks, every memory op.
+    fn random_stream(seed: u64) -> Vec<u8> {
+        let mut rng = Rng(0xFA21_0000 + seed);
+        let spec = GpuSpec::kepler_k40m();
+        let buf = SharedBuffer::new();
+        let mut w = TraceWriter::new(buf.clone());
+        for li in 0..1 + (seed % 3) {
+            let blocks = 1 + rng.next() % 5;
+            w.launch_begin(&TraceLaunch {
+                kernel: &format!("rand-{seed}-{li}"),
+                grid_blocks: blocks as usize,
+                executed_blocks: blocks as usize,
+                threads_per_block: 32 * (1 + (rng.next() % 8) as usize),
+                smem_bytes: (rng.next() % 40_000) as u32,
+                regs_per_thread: 16 + (rng.next() % 48) as u32,
+                overlap: OverlapMode::from_u8((rng.next() % 3) as u8).unwrap(),
+                spec: &spec,
+            });
+            for block_id in 0..blocks {
+                let events: Vec<TraceEvent> = (0..rng.next() % 24)
+                    .map(|_| {
+                        let mask = LaneMask(match rng.next() % 4 {
+                            0 => 0,
+                            1 => 1 << (rng.next() % 32),
+                            2 => u32::MAX,
+                            _ => rng.next() as u32,
+                        });
+                        let mut addrs = [0u64; WARP_SIZE];
+                        for (lane, slot) in addrs.iter_mut().enumerate() {
+                            if mask.is_active(lane) {
+                                *slot = match rng.next() % 3 {
+                                    0 => rng.next() % (1 << 30), // scattered
+                                    _ => 4096 + lane as u64 * (rng.next() % 40),
+                                };
+                            }
+                        }
+                        TraceEvent {
+                            op: TraceOp::ALL[(rng.next() % 6) as usize],
+                            warp: rng.next() as u32 % 8,
+                            mask,
+                            lane_bytes: 1 << (rng.next() % 4),
+                            transactions: 0,
+                            cycles: 0,
+                            addrs,
+                        }
+                    })
+                    .collect();
+                w.block_events(block_id as usize, &events);
+            }
+            w.launch_end(&KernelStats {
+                fma_lane_ops: rng.next() % (1 << 40),
+                alu_lane_ops: rng.next() % (1 << 40),
+                barriers: rng.next() % 100,
+                blocks_total: blocks,
+                ..Default::default()
+            });
+        }
+        let (_, err) = w.into_inner();
+        assert!(err.is_none());
+        buf.take()
+    }
+
     /// Batched-vs-single differential on seeded random streams: for
-    /// arbitrary (not just kernel-shaped) event soup, pricing a launch
-    /// under every preset in one walk must equal pricing it once per
-    /// preset, bit for bit — the per-spec accumulators share nothing.
+    /// arbitrary event soup, pricing a launch under every preset in one
+    /// walk must equal pricing it once per preset, bit for bit.
     #[test]
     fn multi_spec_replay_equals_per_spec_replay_on_random_streams() {
         for seed in 0..6u64 {
-            let mut rng = Rng(0xFA21_0000 + seed);
-            let spec = GpuSpec::kepler_k40m();
-            let buf = SharedBuffer::new();
-            let mut w = TraceWriter::new(buf.clone());
-            for li in 0..1 + (seed % 3) {
-                let blocks = 1 + rng.next() % 5;
-                w.launch_begin(&TraceLaunch {
-                    kernel: &format!("rand-{seed}-{li}"),
-                    grid_blocks: blocks as usize,
-                    executed_blocks: blocks as usize,
-                    threads_per_block: 32 * (1 + (rng.next() % 8) as usize),
-                    smem_bytes: (rng.next() % 40_000) as u32,
-                    regs_per_thread: 16 + (rng.next() % 48) as u32,
-                    overlap: OverlapMode::from_u8((rng.next() % 3) as u8).unwrap(),
-                    spec: &spec,
-                });
-                for block_id in 0..blocks {
-                    let events: Vec<TraceEvent> = (0..rng.next() % 24)
-                        .map(|_| {
-                            let mask = LaneMask(match rng.next() % 4 {
-                                0 => 0,
-                                1 => 1 << (rng.next() % 32),
-                                2 => u32::MAX,
-                                _ => rng.next() as u32,
-                            });
-                            let mut addrs = [0u64; WARP_SIZE];
-                            for (lane, slot) in addrs.iter_mut().enumerate() {
-                                if mask.is_active(lane) {
-                                    *slot = match rng.next() % 3 {
-                                        0 => rng.next() % (1 << 30), // scattered
-                                        _ => 4096 + lane as u64 * (rng.next() % 40),
-                                    };
-                                }
-                            }
-                            TraceEvent {
-                                op: TraceOp::ALL[(rng.next() % 6) as usize],
-                                warp: rng.next() as u32 % 8,
-                                mask,
-                                lane_bytes: 1 << (rng.next() % 4),
-                                transactions: 0,
-                                cycles: 0,
-                                addrs,
-                            }
-                        })
-                        .collect();
-                    w.block_events(block_id as usize, &events);
-                }
-                w.launch_end(&KernelStats {
-                    fma_lane_ops: rng.next() % (1 << 40),
-                    alu_lane_ops: rng.next() % (1 << 40),
-                    barriers: rng.next() % 100,
-                    blocks_total: blocks,
-                    ..Default::default()
-                });
-            }
-            let (_, err) = w.into_inner();
-            assert!(err.is_none());
-            let bytes = buf.take();
+            let bytes = random_stream(seed);
             let trace = Trace::decode(&bytes).unwrap();
             let mut specs = GpuSpec::presets_all();
             specs.extend(
@@ -762,6 +981,93 @@ mod tests {
                 replay_decoded(&trace, &TargetSpec::Capture).unwrap(),
                 "seed {seed}"
             );
+        }
+    }
+
+    /// A seeded list of one to six specs drawn over every pricing field
+    /// (bank count and width, load line, read-only capacity down to one
+    /// line, store line, power-of-two and 96-byte constant lines) plus a
+    /// timing-only axis, with an exact duplicate appended to every third
+    /// list. Small value sets make specs share some keys and not others.
+    fn random_specs(seed: u64) -> Vec<GpuSpec> {
+        let mut rng = Rng(0x5BEC_0000 + seed);
+        let mut pick = |values: &[u64]| values[(rng.next() % values.len() as u64) as usize];
+        let mut specs: Vec<GpuSpec> = (0..1 + seed % 6)
+            .map(|_| GpuSpec {
+                smem_banks: pick(&[16, 32]) as u32,
+                bank_width: [BankWidth::B4, BankWidth::B8][pick(&[0, 1]) as usize],
+                gm_transaction_bytes: pick(&[32, 64, 128]),
+                ro_cache_bytes: pick(&[128, 256, 48 * 1024]),
+                gm_store_transaction_bytes: pick(&[32, 128]),
+                cm_line_bytes: pick(&[64, 96, 256]),
+                sm_count: pick(&[8, 15]) as u32,
+                ..GpuSpec::kepler_k40m()
+            })
+            .collect();
+        if seed % 3 == 2 {
+            let twin = specs[(seed / 3) as usize % specs.len()].clone();
+            specs.push(twin);
+        }
+        specs
+    }
+
+    /// The guard on the pricing keys: on seeded random spec lists that
+    /// vary every pricing field, one grouped walk must equal pricing each
+    /// spec alone, on both a kernel's capture and random event soup. A key
+    /// that dropped any pricing field would let two specs differing in it
+    /// share a pricer, and the second would take the first's counters.
+    #[test]
+    fn grouped_pricing_equals_per_spec_replay_on_random_spec_lists() {
+        let (_, kernel_bytes) = all_ops_launch(Parallelism::Serial, SimMode::Full);
+        let kernel = Trace::decode(&kernel_bytes).unwrap();
+        let (mut singles, mut twins, mut odd_lines) = (0, 0, 0);
+        for seed in 0..48u64 {
+            let specs = random_specs(seed);
+            singles += usize::from(specs.len() == 1);
+            twins += usize::from(
+                specs
+                    .iter()
+                    .any(|s| specs.iter().filter(|t| *t == s).count() > 1),
+            );
+            odd_lines += specs
+                .iter()
+                .filter(|s| !s.cm_line_bytes.is_power_of_two())
+                .count();
+            let soup = Trace::decode(&random_stream(seed)).unwrap();
+            for launch in kernel.launches().iter().chain(soup.launches()) {
+                let grouped = replay_launch_specs(launch, &specs);
+                assert_eq!(grouped.len(), specs.len());
+                for (got, spec) in grouped.iter().zip(&specs) {
+                    let single = replay_launch(launch, &TargetSpec::Spec(spec.clone())).unwrap();
+                    assert_eq!(
+                        got, &single,
+                        "seed {seed}, {}: {spec:?}",
+                        launch.header.kernel
+                    );
+                }
+            }
+        }
+        assert!(singles > 0 && twins > 0 && odd_lines > 0);
+    }
+
+    #[test]
+    fn pricing_groups_count_distinct_keys_per_space() {
+        let grid = GpuSpec::kepler_k40m()
+            .grid()
+            .bank_widths(&[BankWidth::B4, BankWidth::B8])
+            .line_sizes(&[64, 128])
+            .ro_cache_bytes(&[24 * 1024, 48 * 1024])
+            .sm_counts(&[8, 15])
+            .build()
+            .unwrap();
+        assert_eq!(grid.len(), 16);
+        assert_eq!(pricing_groups(&grid), [2, 4, 1, 1, 1]);
+        assert_eq!(pricing_groups(&grid[..1]), [1; Space::COUNT]);
+        assert_eq!(pricing_groups(&[]), [0; Space::COUNT]);
+        // The key array and the routing agree on which index is which space.
+        for (i, key) in pricing_keys(&grid[0]).iter().enumerate() {
+            assert_eq!(Space::ALL[i] as usize, i);
+            assert_eq!(key.space(), Space::ALL[i]);
         }
     }
 
