@@ -4,8 +4,7 @@ use std::collections::HashMap;
 
 use kconv_core::{
     run_with_fallback, ConvError, ConvRun, Convolution, DataType, ExplicitGemmConv, FaultRecord,
-    GeneralConfig, GeneralConv, ImplicitGemmConv, KernelShape, NaiveConv, SpecialConfig,
-    SpecialConv, SpecialConvHalf2, SpecialConvI8,
+    GeneralConfig, GeneralConv, ImplicitGemmConv, KernelShape, NaiveConv, SpecialConv,
 };
 use kconv_sim::{Gpu, GpuSpec, SimMode};
 use kconv_systolic::{PipelineConfig, SystolicConv};
@@ -59,14 +58,7 @@ impl EnginePlan {
     /// Builds the runnable implementation this plan names.
     pub fn instantiate(&self) -> Box<dyn Convolution> {
         match self {
-            EnginePlan::Special(shape) => {
-                let config = SpecialConfig::with_vec_width(shape.vec_width);
-                match shape.dtype {
-                    DataType::F32 => Box::new(SpecialConv::new(config)),
-                    DataType::F16 => Box::new(SpecialConvHalf2::new(config)),
-                    DataType::I8 => Box::new(SpecialConvI8::new(config)),
-                }
-            }
+            EnginePlan::Special(shape) => Box::new(SpecialConv::for_shape(*shape)),
             EnginePlan::General(cfg) => Box::new(GeneralConv::new(*cfg)),
             EnginePlan::ImplicitGemm => Box::new(ImplicitGemmConv::default()),
             EnginePlan::ExplicitGemm => Box::new(ExplicitGemmConv::default()),

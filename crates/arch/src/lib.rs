@@ -51,15 +51,14 @@
 #![warn(missing_debug_implementations)]
 
 use kconv_core::{
-    i8_input_scale, i8_output_scale, quantize_filters_f16, quantize_maps, quantize_maps_f16,
-    ConvError, ConvRun, Convolution, DataType, Encoding, GeneralConfig, GeneralConv, KernelShape,
-    SpecialConfig, SpecialConv, SpecialConvHalf2, SpecialConvI8, F16_TOL, I8_TOL,
+    ConvError, ConvRun, Convolution, DataType, GeneralConfig, GeneralConv, KernelShape,
+    SpecialConv, Storage,
 };
 use kconv_replay::{replay, ReplayError, TargetSpec};
 use kconv_sim::{Gpu, GpuSpec, LaunchReport, SanitizerMode, SimMode};
 use kconv_sim::{TraceOp, WARP_SIZE};
 use kconv_systolic::{PipelineConfig, SystolicConv};
-use kconv_tensor::{random_filters, random_maps, ConvProblem, FeatureMaps, FilterSet, CONV_TOL};
+use kconv_tensor::{random_filters, random_maps, ConvProblem, FeatureMaps, FilterSet};
 use kconv_trace::{SharedBuffer, TraceWriter};
 
 /// Input seed shared by every [`capture`] (and the `arch` harness).
@@ -101,12 +100,7 @@ impl GeneratedVariant {
 
 /// Instantiates the special-case kernel template for `shape`.
 fn instantiate(shape: KernelShape) -> Box<dyn Convolution> {
-    let config = SpecialConfig::with_vec_width(shape.vec_width);
-    match shape.dtype {
-        DataType::F32 => Box::new(SpecialConv::new(config)),
-        DataType::F16 => Box::new(SpecialConvHalf2::new(config)),
-        DataType::I8 => Box::new(SpecialConvI8::new(config)),
-    }
+    Box::new(SpecialConv::for_shape(shape))
 }
 
 /// Generates the matched special-case kernel variant for `dtype` on
@@ -184,35 +178,23 @@ pub fn generate_systolic(spec: &GpuSpec, depth: usize) -> GeneratedVariant {
 /// The reference oracle for a generated variant: what input and filters
 /// the kernel *effectively* convolves (after storage quantization) and
 /// the tolerance its output must meet against
-/// [`kconv_core::conv_reference`] on them.
+/// [`kconv_core::conv_reference`] on them — [`Storage::oracle`] of the
+/// storage the generator picks for `dtype`:
 ///
-/// * `f32` — the data untouched, within [`CONV_TOL`] (the kernels
-///   accumulate in a different order than the f64 reference);
-/// * `fp16` — input **and** filters quantized through binary16
-///   ([`quantize_maps_f16`], [`quantize_filters_f16`] — the half2 variant
-///   stores taps as packed halves too), within [`F16_TOL`];
+/// * `f32` — the data untouched, within [`kconv_tensor::CONV_TOL`] (the
+///   kernels accumulate in a different order than the f64 reference);
+/// * `fp16` — input **and** filters quantized through binary16 (the half2
+///   variant stores taps as packed halves too), within
+///   [`kconv_core::F16_TOL`];
 /// * `int8` — input quantized through the data-derived symmetric scales,
-///   within [`I8_TOL`] (output quantization adds its own noise).
+///   within [`kconv_core::I8_TOL`] (output quantization adds its own
+///   noise).
 pub fn reference_oracle(
     dtype: DataType,
     input: &FeatureMaps,
     filters: &FilterSet,
 ) -> (FeatureMaps, FilterSet, f32) {
-    match dtype {
-        DataType::F32 => (input.clone(), filters.clone(), CONV_TOL),
-        DataType::F16 => (
-            quantize_maps_f16(input),
-            quantize_filters_f16(filters),
-            F16_TOL,
-        ),
-        DataType::I8 => {
-            let enc = Encoding::I8 {
-                scale_in: i8_input_scale(input),
-                scale_out: i8_output_scale(input, filters),
-            };
-            (quantize_maps(input, enc), filters.clone(), I8_TOL)
-        }
-    }
+    Storage::for_dtype(dtype).oracle(input, filters)
 }
 
 /// Runs `variant` on its own spec and validates the output against the
@@ -386,6 +368,7 @@ pub fn measured_mismatch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kconv_core::SpecialConfig;
 
     #[test]
     fn generator_reproduces_the_papers_kepler_kernels() {
@@ -449,6 +432,15 @@ mod tests {
         assert!(generate_forced(&kepler, DataType::F32, 3).is_none());
         let right = generate_forced(&kepler, DataType::F32, 2).expect("n=2 instantiable");
         assert!(right.matched);
+        // fp16 instantiates the half2 kernel: n = 2 (true half2) on 4-byte
+        // banks, 4 on Kepler's 8-byte banks; n = 8 is not instantiable.
+        let half2 = generate(&GpuSpec::maxwell_like(), DataType::F16);
+        assert_eq!(half2.shape.vec_width, 2);
+        assert!(half2.conv.name().starts_with("special half2"));
+        assert_eq!(generate(&kepler, DataType::F16).shape.vec_width, 4);
+        let scalar = generate_forced(&kepler, DataType::F16, 1).expect("n=1 instantiable");
+        assert_eq!(scalar.shape.vec_width, 1);
+        assert!(generate_forced(&kepler, DataType::F16, 8).is_none());
     }
 
     #[test]

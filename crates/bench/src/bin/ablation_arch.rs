@@ -12,7 +12,7 @@
 //! Usage: `cargo run --release -p kconv-bench --bin ablation_arch`
 
 use kconv_bench::print_table;
-use kconv_core::{Convolution, SpecialConfig, SpecialConv, SpecialConvF16, SpecialConvI8};
+use kconv_core::{Convolution, SpecialConfig, SpecialConv, Storage};
 use kconv_sim::{Gpu, GpuSpec, Parallelism, SimMode};
 use kconv_tensor::{random_filters, random_maps, ConvProblem};
 
@@ -37,66 +37,23 @@ fn main() {
 
     let mut rows = Vec::new();
     for spec in &specs {
-        let n_f32 = spec.mismatch_factor(4);
-        let matched = seconds(
-            &SpecialConv::new(SpecialConfig {
-                vec_width: n_f32 as usize,
-                ..SpecialConfig::kepler_best()
-            }),
-            spec,
-            &problem,
-        );
-        let unmatched = seconds(
-            &SpecialConv::new(SpecialConfig::kepler_unmatched()),
-            spec,
-            &problem,
-        );
-        rows.push(vec![
-            spec.name.to_string(),
-            "f32".into(),
-            n_f32.to_string(),
-            format!("{:.3}", matched * 1e3),
-            format!("{:.3}", unmatched * 1e3),
-            format!("{:.1}%", 100.0 * (unmatched / matched - 1.0)),
-        ]);
-
-        let n_f16 = spec.mismatch_factor(2);
-        let matched16 = seconds(
-            &SpecialConvF16::new(SpecialConfig {
-                vec_width: n_f16 as usize,
-                ..SpecialConfig::kepler_best()
-            }),
-            spec,
-            &problem,
-        );
-        let unmatched16 = seconds(&SpecialConvF16::unmatched(), spec, &problem);
-        rows.push(vec![
-            spec.name.to_string(),
-            "fp16".into(),
-            n_f16.to_string(),
-            format!("{:.3}", matched16 * 1e3),
-            format!("{:.3}", unmatched16 * 1e3),
-            format!("{:.1}%", 100.0 * (unmatched16 / matched16 - 1.0)),
-        ]);
-
-        let n_i8 = spec.mismatch_factor(1);
-        let matched8 = seconds(
-            &SpecialConvI8::new(SpecialConfig {
-                vec_width: n_i8 as usize,
-                ..SpecialConfig::kepler_best()
-            }),
-            spec,
-            &problem,
-        );
-        let unmatched8 = seconds(&SpecialConvI8::unmatched(), spec, &problem);
-        rows.push(vec![
-            spec.name.to_string(),
-            "int8".into(),
-            n_i8.to_string(),
-            format!("{:.3}", matched8 * 1e3),
-            format!("{:.3}", unmatched8 * 1e3),
-            format!("{:.1}%", 100.0 * (unmatched8 / matched8 - 1.0)),
-        ]);
+        for storage in [Storage::F32, Storage::F16, Storage::I8] {
+            let n = spec.mismatch_factor(storage.elem_bytes() as u64);
+            let at = |vec_width| SpecialConv {
+                config: SpecialConfig::with_vec_width(vec_width),
+                storage,
+            };
+            let matched = seconds(&at(n as usize), spec, &problem);
+            let unmatched = seconds(&at(1), spec, &problem);
+            rows.push(vec![
+                spec.name.to_string(),
+                storage.dtype().name().into(),
+                n.to_string(),
+                format!("{:.3}", matched * 1e3),
+                format!("{:.3}", unmatched * 1e3),
+                format!("{:.1}%", 100.0 * (unmatched / matched - 1.0)),
+            ]);
+        }
     }
     print_table(
         &[

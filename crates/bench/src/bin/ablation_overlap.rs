@@ -10,7 +10,7 @@
 //! Usage: `cargo run --release -p kconv-bench --bin ablation_overlap`
 
 use kconv_bench::print_table;
-use kconv_core::{Convolution, GeneralConfig, GeneralConv, SpecialConfig, SpecialConv};
+use kconv_core::{Convolution, GeneralConfig, GeneralConv, SpecialConfig, SpecialConv, Storage};
 use kconv_sim::{timing, Gpu, GpuSpec, LaunchConfig, OverlapMode, Parallelism, SimMode};
 use kconv_tensor::{random_filters, random_maps, ConvProblem};
 
@@ -36,7 +36,7 @@ fn main() {
             OverlapMode::Serial,
         ] {
             let launch = LaunchConfig::new("special", blocks, cfg.threads())
-                .with_smem(cfg.smem_bytes(3))
+                .with_smem(cfg.smem_bytes(3, Storage::F32))
                 .with_regs(cfg.regs_per_thread(3))
                 .with_overlap(overlap);
             let t = timing::evaluate(&spec, &launch, &run.report.stats).expect("timing");

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use kconv_core::{
     Convolution, GeneralConfig, GeneralConv, GeneralConvStrided, ImplicitGemmConv, SpecialConfig,
-    SpecialConv, SpecialConvF16, SpecialConvHalf2, SpecialConvI8,
+    SpecialConv, Storage,
 };
 use kconv_replay::{
     pricing_groups, replay, replay_decoded, replay_decoded_specs, sweep, Space, SweepCell,
@@ -127,12 +127,18 @@ pub fn corpus() -> Vec<CorpusEntry> {
         ),
         entry(
             "special-3x3-fp16",
-            Box::new(SpecialConvF16::kepler_matched()),
+            Box::new(SpecialConv {
+                config: SpecialConfig::with_vec_width(4),
+                storage: Storage::F16,
+            }),
             ConvProblem::special(66, 16, 3),
         ),
         entry(
             "special-3x3-int8",
-            Box::new(SpecialConvI8::kepler_matched()),
+            Box::new(SpecialConv {
+                config: SpecialConfig::with_vec_width(8),
+                storage: Storage::I8,
+            }),
             ConvProblem::special(66, 16, 3),
         ),
         // The generator's (kconv-arch) outputs, appended after the
@@ -148,7 +154,10 @@ pub fn corpus() -> Vec<CorpusEntry> {
         ),
         entry(
             "special-3x3-half2",
-            Box::new(SpecialConvHalf2::default()),
+            Box::new(SpecialConv {
+                config: SpecialConfig::with_vec_width(2),
+                storage: Storage::Half2,
+            }),
             ConvProblem::special(66, 16, 3),
         ),
         // The systolic pipeline's captures, appended after the original

@@ -3,6 +3,8 @@
 
 use kconv_sim::GpuSpec;
 
+use crate::special::Storage;
+
 /// Rounds `v` up to a multiple of `to`.
 pub(crate) fn round_up(v: usize, to: usize) -> usize {
     v.div_ceil(to) * to
@@ -67,7 +69,7 @@ impl SpecialConfig {
         self.width / self.vec_width
     }
 
-    /// Shared-memory row pitch in `f32` elements for filter size `k`: at
+    /// Shared-memory row pitch in elements for filter size `k`: at
     /// least the `W + K - 1` tile row, extended so every aligned
     /// `vec_width`-wide window load stays in bounds, and aligned to
     /// `vec_width`.
@@ -77,10 +79,11 @@ impl SpecialConfig {
         round_up((self.width + k - 1).max(self.width - n + window), n)
     }
 
-    /// Shared-memory bytes per block for filter size `k`: a `K`-row ring
-    /// buffer of padded rows.
-    pub fn smem_bytes(&self, k: usize) -> u32 {
-        (k * self.smem_pitch(k) * 4) as u32
+    /// Shared-memory bytes per block for filter size `k` with `storage`
+    /// elements: a `K`-row ring buffer of padded rows. The launch reserves
+    /// exactly this and [`validate`](Self::validate) checks it.
+    pub fn smem_bytes(&self, k: usize, storage: Storage) -> u32 {
+        (k * self.smem_pitch(k) * storage.elem_bytes()) as u32
     }
 
     /// Per-thread register estimate: the `K x (K + n - 1)` window, `n`
@@ -90,15 +93,29 @@ impl SpecialConfig {
         (k * round_up(k + n - 1, n) + 2 * n + 12) as u32
     }
 
-    /// Validates the configuration against `spec` for filter size `k` and
-    /// `filters` output maps.
+    /// Validates the configuration against `spec` for filter size `k`,
+    /// `filters` output maps and the given pixel/tap `storage`.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self, spec: &GpuSpec, k: usize, filters: usize) -> Result<(), String> {
+    pub fn validate(
+        &self,
+        spec: &GpuSpec,
+        k: usize,
+        filters: usize,
+        storage: Storage,
+    ) -> Result<(), String> {
         if self.vec_width == 0 || self.width == 0 || self.height == 0 {
             return Err("all dimensions must be positive".into());
+        }
+        let lane = self.vec_width * storage.elem_bytes();
+        if !matches!(lane, 1 | 2 | 4 | 8 | 16) {
+            return Err(format!(
+                "unsupported access width {lane} B (vec_width {} x {} B elements)",
+                self.vec_width,
+                storage.elem_bytes()
+            ));
         }
         if k > crate::special::MAX_K {
             return Err(format!(
@@ -116,13 +133,13 @@ impl SpecialConfig {
         if threads == 0 || threads > 1024 {
             return Err(format!("{threads} threads per block is not launchable"));
         }
-        if self.smem_bytes(k) > spec.max_smem_per_block {
+        let smem = self.smem_bytes(k, storage);
+        if smem > spec.max_smem_per_block {
             return Err(format!(
-                "{} B of shared memory exceeds the per-block limit",
-                self.smem_bytes(k)
+                "{smem} B of shared memory exceeds the per-block limit"
             ));
         }
-        let cm_bytes = (filters * k * k * 4) as u64;
+        let cm_bytes = storage.tap_bytes(k, filters) as u64;
         if cm_bytes > spec.cm_bytes {
             return Err(format!(
                 "{filters} filters of size {k}x{k} ({cm_bytes} B) exceed constant memory"
@@ -403,9 +420,11 @@ mod tests {
     fn special_presets_validate() {
         let spec = GpuSpec::kepler_k40m();
         for k in [1, 3, 5, 7] {
-            SpecialConfig::kepler_best().validate(&spec, k, 64).unwrap();
+            SpecialConfig::kepler_best()
+                .validate(&spec, k, 64, Storage::F32)
+                .unwrap();
             SpecialConfig::kepler_unmatched()
-                .validate(&spec, k, 64)
+                .validate(&spec, k, 64, Storage::F32)
                 .unwrap();
         }
     }
@@ -428,14 +447,14 @@ mod tests {
         let spec = GpuSpec::kepler_k40m();
         let mut c = SpecialConfig::kepler_best();
         c.width = 255; // not divisible by n=2
-        assert!(c.validate(&spec, 3, 8).is_err());
+        assert!(c.validate(&spec, 3, 8, Storage::F32).is_err());
         let mut c = SpecialConfig::kepler_best();
         c.width = 4096; // 2048 threads
-        assert!(c.validate(&spec, 3, 8).is_err());
+        assert!(c.validate(&spec, 3, 8, Storage::F32).is_err());
         // Too many filters for constant memory.
         let c = SpecialConfig::kepler_best();
-        assert!(c.validate(&spec, 7, 1024).is_err());
-        assert!(c.validate(&spec, 7, 64).is_ok());
+        assert!(c.validate(&spec, 7, 1024, Storage::F32).is_err());
+        assert!(c.validate(&spec, 7, 64, Storage::F32).is_ok());
     }
 
     #[test]
@@ -537,7 +556,7 @@ mod tests {
         for spec in [GpuSpec::maxwell_like(), GpuSpec::fermi_m2090()] {
             let s = SpecialConfig::matched_for(&spec);
             assert_eq!(s.vec_width, 1);
-            s.validate(&spec, 3, 64).unwrap();
+            s.validate(&spec, 3, 64, Storage::F32).unwrap();
             for k in [3, 5, 7] {
                 let g = GeneralConfig::matched_for(&spec, k);
                 assert_eq!(g.vec_width, 1);

@@ -53,9 +53,10 @@ pub struct KernelShape {
 impl KernelShape {
     /// Vector factors the kernel templates can instantiate for a data type.
     ///
-    /// The special/general f32 kernels dispatch over `n ∈ {1, 2, 4}`; the
-    /// narrow-storage kernels dispatch over lane widths of 1..=8 bytes, which
-    /// bounds `fp16` to `n ∈ {1, 2, 4}` and `int8` to `n ∈ {1, 2, 4, 8}`.
+    /// The general f32 kernel dispatches over `n ∈ {1, 2, 4}`; the special
+    /// kernel over lane widths of 1, 2, 4, 8 and 16 bytes. The generator
+    /// instantiates the factors up to one 8-byte bank word for the narrow
+    /// types: `fp16` `n ∈ {1, 2, 4}` and `int8` `n ∈ {1, 2, 4, 8}`.
     pub fn supported_factors(dtype: DataType) -> &'static [usize] {
         match dtype {
             DataType::F32 => &[1, 2, 4],

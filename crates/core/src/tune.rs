@@ -16,7 +16,7 @@ use crate::error::{ConvError, Result};
 use crate::general::GeneralConv;
 use crate::run::Convolution;
 use crate::shape::KernelShape;
-use crate::special::SpecialConv;
+use crate::special::{SpecialConv, Storage};
 
 /// One explored configuration and its measured throughput.
 #[derive(Debug, Clone, PartialEq)]
@@ -288,7 +288,10 @@ pub fn explore_special_recorded(
             });
             continue;
         }
-        if cfg.validate(spec, problem.k, problem.filters).is_err() {
+        if cfg
+            .validate(spec, problem.k, problem.filters, Storage::F32)
+            .is_err()
+        {
             skips.push(TuneSkip {
                 config: *cfg,
                 reason: "fails architectural or divisibility validation".into(),

@@ -496,6 +496,27 @@ impl Gpu {
         self.gm.write_f32s(buf, elem_offset, values)
     }
 
+    /// Host-to-device copy of raw bytes into the start of `buf` (storage of
+    /// short data types).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::HostTransferOutOfBounds`] if `bytes` exceeds the
+    /// buffer.
+    pub fn upload_bytes(&mut self, buf: GmBuf, bytes: &[u8]) -> Result<()> {
+        self.gm.write_bytes(buf, bytes)
+    }
+
+    /// Device-to-host view of the first `len` raw bytes of `buf`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::HostTransferOutOfBounds`] if `len` exceeds the
+    /// buffer.
+    pub fn download_bytes(&self, buf: GmBuf, len: usize) -> Result<&[u8]> {
+        self.gm.read_bytes(buf, len)
+    }
+
     /// Device-to-host copy of the whole buffer.
     ///
     /// # Errors

@@ -211,6 +211,19 @@ impl GlobalMemory {
         self.next
     }
 
+    /// The absolute start of the host-transfer range `[byte_off, byte_off +
+    /// byte_len)` of `buf`.
+    fn host_range(buf: GmBuf, byte_off: u64, byte_len: u64) -> Result<usize> {
+        if byte_off + byte_len > buf.bytes {
+            return Err(SimError::HostTransferOutOfBounds {
+                offset: byte_off,
+                len: byte_len,
+                buffer: buf.bytes,
+            });
+        }
+        Ok((buf.offset + byte_off) as usize)
+    }
+
     /// Host write of consecutive `f32`s starting at element `elem_offset` of
     /// `buf` (models `cudaMemcpy` host-to-device; not counted in stats).
     ///
@@ -219,20 +232,26 @@ impl GlobalMemory {
     /// Returns [`SimError::HostTransferOutOfBounds`] if the range exceeds
     /// the buffer.
     pub fn write_f32s(&mut self, buf: GmBuf, elem_offset: u64, values: &[f32]) -> Result<()> {
-        let byte_off = elem_offset * 4;
         let byte_len = values.len() as u64 * 4;
-        if byte_off + byte_len > buf.bytes {
-            return Err(SimError::HostTransferOutOfBounds {
-                offset: byte_off,
-                len: byte_len,
-                buffer: buf.bytes,
-            });
-        }
-        let start = (buf.offset + byte_off) as usize;
+        let start = Self::host_range(buf, elem_offset * 4, byte_len)?;
         for (i, v) in values.iter().enumerate() {
             self.data[start + i * 4..start + i * 4 + 4].copy_from_slice(&v.to_le_bytes());
         }
-        self.mark_init(buf.offset + byte_off, byte_len);
+        self.mark_init(start as u64, byte_len);
+        Ok(())
+    }
+
+    /// Host write of raw bytes to the start of `buf` (the short-data-type
+    /// counterpart of [`write_f32s`](Self::write_f32s)).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::HostTransferOutOfBounds`] if `bytes` exceeds the
+    /// buffer.
+    pub fn write_bytes(&mut self, buf: GmBuf, bytes: &[u8]) -> Result<()> {
+        let start = Self::host_range(buf, 0, bytes.len() as u64)?;
+        self.data[start..start + bytes.len()].copy_from_slice(bytes);
+        self.mark_init(start as u64, bytes.len() as u64);
         Ok(())
     }
 
@@ -244,16 +263,7 @@ impl GlobalMemory {
     /// Returns [`SimError::HostTransferOutOfBounds`] if the range exceeds
     /// the buffer.
     pub fn read_f32s(&self, buf: GmBuf, elem_offset: u64, len: usize) -> Result<Vec<f32>> {
-        let byte_off = elem_offset * 4;
-        let byte_len = len as u64 * 4;
-        if byte_off + byte_len > buf.bytes {
-            return Err(SimError::HostTransferOutOfBounds {
-                offset: byte_off,
-                len: byte_len,
-                buffer: buf.bytes,
-            });
-        }
-        let start = (buf.offset + byte_off) as usize;
+        let start = Self::host_range(buf, elem_offset * 4, len as u64 * 4)?;
         Ok((0..len)
             .map(|i| {
                 f32::from_le_bytes(
@@ -263,6 +273,17 @@ impl GlobalMemory {
                 )
             })
             .collect())
+    }
+
+    /// Host view of the first `len` raw bytes of `buf`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::HostTransferOutOfBounds`] if `len` exceeds the
+    /// buffer.
+    pub fn read_bytes(&self, buf: GmBuf, len: usize) -> Result<&[u8]> {
+        let start = Self::host_range(buf, 0, len as u64)?;
+        Ok(&self.data[start..start + len])
     }
 
     /// Fills an entire buffer with a constant (host-side, uncounted).

@@ -61,7 +61,7 @@ impl EfficiencyReport {
     ///
     /// # Errors
     ///
-    /// Propagates [`read_trace`](crate::read_trace)'s errors.
+    /// Propagates [`read_trace`]'s errors.
     pub fn analyze(bytes: &[u8], meta: &KernelMeta) -> Result<Vec<EfficiencyReport>, TraceError> {
         struct Pass {
             meta: KernelMeta,

@@ -59,7 +59,7 @@ pub const MAGIC: [u8; 4] = *b"KTRC";
 pub const VERSION: u8 = 4;
 /// The legacy version whose stats record predates
 /// [`KernelStats::bar_syncs`] and whose event stream predates
-/// [`TraceOp::Bar`](kconv_sim::TraceOp::Bar) (readable, no longer written).
+/// [`TraceOp::Bar`] (readable, no longer written).
 pub const V3: u8 = 3;
 /// The legacy version whose embedded spec predates
 /// [`GpuSpec::ro_cache_bytes`] (readable, no longer written).

@@ -4,7 +4,7 @@
 //! ([`TraceSink`](kconv_sim::TraceSink)). It ships three layers:
 //!
 //! * [`TraceWriter`] / [`read_trace`] — a compact binary format (varint +
-//!   zigzag address deltas, see [`format`]) streaming every warp memory
+//!   zigzag address deltas, see [`format`](mod@format)) streaming every warp memory
 //!   instruction of a launch to any `Write` target. [`SharedBuffer`] keeps
 //!   a handle on the bytes while the writer is boxed inside the `Gpu`.
 //!   [`Trace`] materializes the stream into flat slabs (see [`decoded`])

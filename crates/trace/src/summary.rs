@@ -124,7 +124,7 @@ impl TraceSummary {
     ///
     /// # Errors
     ///
-    /// Propagates [`read_trace`](crate::read_trace)'s errors.
+    /// Propagates [`read_trace`]'s errors.
     pub fn from_bytes(bytes: &[u8]) -> Result<Vec<TraceSummary>, TraceError> {
         #[derive(Default)]
         struct Roll {

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example batch_pipeline`
 
-use kconv::core::{run_batch, SpecialConvF16, SpecialConvI8};
+use kconv::core::run_batch;
 use kconv::prelude::*;
 use kconv::sim::render_report;
 
@@ -23,16 +23,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         frames.len()
     );
 
-    let engines: Vec<Box<dyn Convolution>> = vec![
-        Box::new(SpecialConv::default()),
-        Box::new(SpecialConvF16::kepler_matched()),
-        Box::new(SpecialConvI8::kepler_matched()),
-    ];
+    // Each storage at its Kepler-matched vector width (one 8-byte bank
+    // word per thread per access).
+    let engines =
+        [(Storage::F32, 2), (Storage::F16, 4), (Storage::I8, 8)].map(|(storage, n)| SpecialConv {
+            config: SpecialConfig::with_vec_width(n),
+            storage,
+        });
     let mut f32_first_report = None;
     for engine in engines {
         let mut gpu = Gpu::new(spec.clone());
         let batch = run_batch(
-            engine.as_ref(),
+            &engine,
             &mut gpu,
             &problem,
             &frames,

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use kconv_apps::{edge_detect, smooth, template_match, Engine, LayerStack};
     pub use kconv_core::{
         conv_reference, ConvRun, Convolution, ExplicitGemmConv, GeneralConfig, GeneralConv,
-        ImplicitGemmConv, SpecialConfig, SpecialConv,
+        ImplicitGemmConv, SpecialConfig, SpecialConv, Storage,
     };
     pub use kconv_gemm::{launch_gemm, GemmConfig, GemmShape};
     pub use kconv_sim::{Gpu, GpuSpec, Parallelism, SimMode};

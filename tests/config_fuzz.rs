@@ -7,10 +7,6 @@
 //! PRNG so the suite builds offline. Invalid draws are skipped the same
 //! way `prop_assume!` discarded them.
 
-use kconv::core::{
-    i8_input_scale, i8_output_scale, quantize_maps, Encoding, SpecialConvF16, SpecialConvI8,
-    F16_TOL, I8_TOL,
-};
 use kconv::prelude::*;
 use kconv::tensor::rng::StdRng;
 
@@ -32,7 +28,7 @@ fn special_config_fuzz() {
             vec_width,
         };
         let spec = GpuSpec::kepler_k40m();
-        if cfg.validate(&spec, k, f).is_err() {
+        if cfg.validate(&spec, k, f, Storage::F32).is_err() {
             continue;
         }
         let n = (1 << width_pow) + k + extra; // at least one full tile column
@@ -115,28 +111,19 @@ fn narrow_config_fuzz() {
         let input = random_maps(1, n, n, 91 + extra as u64);
         let filters = random_filters(f, 1, k, 93);
 
-        let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
-        let run = SpecialConvF16::new(cfg)
-            .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
-            .unwrap();
-        let q = quantize_maps(&input, Encoding::F16);
-        run.verify_executed(&problem, &q, &filters, F16_TOL)
-            .unwrap_or_else(|e| panic!("f16 {cfg:?}: {e}"));
-
+        // int8 at twice the fp16 vector width: the same lane bytes.
         let i8cfg = SpecialConfig {
             vec_width: vec_width * 2,
             ..cfg
         };
-        let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
-        let run = SpecialConvI8::new(i8cfg)
-            .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
-            .unwrap();
-        let enc = Encoding::I8 {
-            scale_in: i8_input_scale(&input),
-            scale_out: i8_output_scale(&input, &filters),
-        };
-        let q = quantize_maps(&input, enc);
-        run.verify_executed(&problem, &q, &filters, I8_TOL)
-            .unwrap_or_else(|e| panic!("i8 {i8cfg:?}: {e}"));
+        for (storage, config) in [(Storage::F16, cfg), (Storage::I8, i8cfg)] {
+            let mut gpu = Gpu::new(GpuSpec::kepler_k40m());
+            let run = SpecialConv { config, storage }
+                .run(&mut gpu, &problem, &input, &filters, SimMode::Full)
+                .unwrap();
+            let (input_q, filters_q, tol) = storage.oracle(&input, &filters);
+            run.verify_executed(&problem, &input_q, &filters_q, tol)
+                .unwrap_or_else(|e| panic!("{storage:?} {config:?}: {e}"));
+        }
     }
 }
