@@ -601,20 +601,74 @@ pub fn run(iters: usize) -> Checker {
 mod tests {
     use super::*;
     use kconv_replay::{replay_launch, replay_launch_specs};
+    use kconv_sim::{TraceLaunch, TraceSink};
+    use kconv_trace::decoded::affine_form;
+    use kconv_trace::read_launches;
 
-    /// Pins the compact slab's memory claim and the batched pricer on the
-    /// real corpus: every special-kernel capture decodes fully affine, at
-    /// least 90% of all corpus events do, and pricing each launch under
-    /// several grid specs in one walk equals pricing it once per spec.
+    /// Writes a decoded trace back out through the KTRC writer.
+    fn reencode(trace: &Trace) -> Vec<u8> {
+        let buf = SharedBuffer::new();
+        let mut w = TraceWriter::new(buf.clone());
+        for launch in trace.launches() {
+            let h = &launch.header;
+            let spec = h.spec.clone().expect("v4 captures embed their spec");
+            w.launch_begin(&TraceLaunch {
+                kernel: &h.kernel,
+                grid_blocks: h.grid_blocks as usize,
+                executed_blocks: h.executed_blocks as usize,
+                threads_per_block: h.threads_per_block as usize,
+                smem_bytes: h.smem_bytes as u32,
+                regs_per_thread: h.regs_per_thread as u32,
+                overlap: h.overlap,
+                spec: &spec,
+            });
+            for block in launch.blocks() {
+                w.block_events(block.block_id as usize, &block.to_events());
+            }
+            w.launch_end(launch.end.stats.as_ref().expect("completed launch"));
+        }
+        let (_, err) = w.into_inner();
+        assert!(err.is_none());
+        buf.take()
+    }
+
+    /// Pins the slab decoder and the batched pricer on the real corpus.
+    /// On every capture `Trace::decode` yields the events `read_launches`
+    /// materializes, which the writer turns back into the captured bytes,
+    /// and keeps each event in the form `affine_form` picks for it;
+    /// every special-kernel capture decodes fully affine and at least 90%
+    /// of all events do; the corpus totals 1,091,512 events in 73,721,440
+    /// slab bytes; and pricing each launch under several grid specs in one
+    /// walk equals pricing it once per spec.
     #[test]
     fn corpus_decodes_mostly_affine_and_prices_batched_as_single() {
         // The grid's two corner cells differ on every axis.
         let grid = spec_grid();
         let specs = [grid[0].clone(), grid[grid.len() - 1].clone()];
-        let (mut events, mut affine) = (0, 0);
+        let (mut events, mut affine, mut heap) = (0, 0, 0);
         for cap in capture_corpus() {
             let trace = Trace::decode(&cap.bytes).expect("corpus trace decodes");
-            for launch in trace.launches() {
+            let streamed = read_launches(&cap.bytes).expect("corpus trace reads");
+            assert_eq!(trace.launches().len(), streamed.len(), "{}", cap.name);
+            // Both readers share one parser; the writer is the independent
+            // check that it read every address right.
+            assert!(reencode(&trace) == cap.bytes, "{}: re-encoding", cap.name);
+            heap += trace.heap_bytes();
+            for (launch, want) in trace.launches().iter().zip(&streamed) {
+                assert_eq!(launch.header, want.header, "{}", cap.name);
+                assert_eq!(launch.end, want.end, "{}", cap.name);
+                assert_eq!(launch.block_count(), want.blocks.len(), "{}", cap.name);
+                for (block, (id, evs)) in launch.blocks().zip(&want.blocks) {
+                    assert_eq!(block.block_id, *id, "{}", cap.name);
+                    assert!(block.to_events() == *evs, "{}: block {id}", cap.name);
+                }
+                let oracle = want
+                    .blocks
+                    .iter()
+                    .flat_map(|(_, evs)| evs)
+                    .filter(|ev| affine_form(ev.mask, &ev.addrs).is_some())
+                    .count();
+                assert_eq!(launch.affine_event_count(), oracle, "{}", cap.name);
                 events += launch.event_count();
                 affine += launch.affine_event_count();
                 if cap.name.starts_with("special") {
@@ -633,6 +687,7 @@ mod tests {
                 }
             }
         }
+        assert_eq!((events, heap), (1_091_512, 73_721_440));
         assert!(
             affine * 10 >= events * 9,
             "{affine} of {events} events affine"

@@ -1,12 +1,9 @@
 //! Decoded in-memory traces: parse the KTRC byte stream **once**, re-price
 //! it many times.
 //!
-//! [`read_trace`] is a streaming parser — cheap in memory, but every
-//! consumer pays the full varint/zigzag decode again. That is the wrong
-//! trade for the replay farm, which prices one capture under dozens of
-//! hypothetical [`GpuSpec`](kconv_sim::GpuSpec)s: decoding dominates
-//! pricing. A [`Trace`] materializes the stream into three flat slabs per
-//! launch —
+//! The replay farm prices one capture under dozens of hypothetical
+//! [`GpuSpec`](kconv_sim::GpuSpec)s, so it parses the stream once into a
+//! [`Trace`]: three flat slabs per launch —
 //!
 //! * one fixed-size record per event: its [`EventHead`] (op, warp, mask,
 //!   bytes/lane, recorded transactions/cycles) plus the event's lane
@@ -19,13 +16,23 @@
 //!
 //! **Lane-address forms.** The paper's kernels are built from warps whose
 //! active lanes touch `base + lane × stride`, so most events are stored
-//! as that `(base, stride)` pair: 16 bytes instead of 256. The form is
-//! chosen per event at decode time: `base` and `stride` come from the
+//! as that `(base, stride)` pair: 16 bytes instead of 256. The form of an
+//! event is defined by [`affine_form`]: `base` and `stride` come from the
 //! first two active lanes, and the pair is kept only if rebuilding it
 //! (active lanes `base + lane·stride` under `u64` wrapping arithmetic,
 //! inactive lanes zero) reproduces all 32 canonical lanes bit for bit.
 //! Every other event keeps its 32 addresses in the irregular slab. No
 //! address can be lost, and there is no mode to choose.
+//!
+//! **One parser.** There is a single KTRC event parser, inside
+//! [`read_trace`], and it reads the wire straight into a [`LaneForm`]:
+//! for a contiguous lane mask it compares each zig-zag delta with the
+//! first and never builds the 32-lane row of an affine event. It hands
+//! the head and form to [`TraceVisitor::event_form`]. [`Trace::decode`]
+//! stores them as they are; every other visitor ([`read_launches`], the
+//! summaries, the efficiency report) takes the default, which expands
+//! the form into a [`TraceEvent`]. Both readers therefore accept and
+//! reject exactly the same bytes, with the same errors.
 //!
 //! Replay walks the slabs with [`BlockView::for_each_event`], which hands
 //! out each event's addresses as a [`&WarpAddrs`](kconv_sim::WarpAddrs) —
@@ -63,6 +70,48 @@ pub struct EventHead {
     pub cycles: u32,
 }
 
+impl EventHead {
+    /// The owned event with these fields and lane addresses.
+    pub(crate) fn to_event(self, addrs: WarpAddrs) -> TraceEvent {
+        TraceEvent {
+            op: self.op,
+            warp: self.warp,
+            mask: self.mask,
+            lane_bytes: self.lane_bytes,
+            transactions: self.transactions,
+            cycles: self.cycles,
+            addrs,
+        }
+    }
+}
+
+/// One event's lane addresses as the KTRC parser hands them to
+/// [`TraceVisitor::event_form`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneForm<'a> {
+    /// Active lane `l` is at `base + l·stride` (wrapping); inactive lanes
+    /// are zero. This is the pair [`affine_form`] returns.
+    Affine {
+        /// Address of lane 0 (whether or not it is active).
+        base: u64,
+        /// Address step from one lane to the next.
+        stride: u64,
+    },
+    /// All 32 canonical lane addresses (inactive lanes zero) of an event
+    /// that has no affine form.
+    Row(&'a WarpAddrs),
+}
+
+impl LaneForm<'_> {
+    /// The 32 canonical lane addresses under `mask`.
+    pub(crate) fn addrs(&self, mask: LaneMask) -> WarpAddrs {
+        match *self {
+            LaneForm::Affine { base, stride } => expand(base, stride, mask),
+            LaneForm::Row(row) => *row,
+        }
+    }
+}
+
 /// Where one event's lane addresses live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lanes {
@@ -74,7 +123,7 @@ enum Lanes {
 }
 
 /// One decoded event: its head and its lane-address form.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
     head: EventHead,
     lanes: Lanes,
@@ -89,11 +138,16 @@ fn expand(base: u64, stride: u64, mask: LaneMask) -> WarpAddrs {
     })
 }
 
-/// The `(base, stride)` pair whose expansion is exactly `addrs`, if any.
-/// Both come from the first two active lanes (a lone active lane gets
-/// stride 0, an empty mask base 0); the pair is returned only when the
-/// expansion reproduces all 32 lanes.
-fn affine_form(mask: LaneMask, addrs: &WarpAddrs) -> Option<(u64, u64)> {
+/// The `(base, stride)` pair whose expansion is exactly `addrs` (active
+/// lanes at `base + lane·stride` under wrapping arithmetic, inactive lanes
+/// zero), if any. Both come from the first two active lanes (a lone
+/// active lane gets stride 0, an empty mask base 0); the pair is returned
+/// only when the expansion reproduces all 32 lanes.
+///
+/// This defines the affine form. The KTRC parser reaches the same answer
+/// for contiguous masks without building a row; this function is the
+/// oracle its tests compare against.
+pub fn affine_form(mask: LaneMask, addrs: &WarpAddrs) -> Option<(u64, u64)> {
     let (base, stride) = if mask.is_empty() {
         (0, 0)
     } else {
@@ -229,18 +283,64 @@ impl BlockView<'_> {
     /// for comparison against [`read_launches`](crate::read_launches).
     pub fn to_events(&self) -> Vec<TraceEvent> {
         let mut out = Vec::with_capacity(self.len());
-        self.for_each_event(|head, addrs| {
-            out.push(TraceEvent {
-                op: head.op,
-                warp: head.warp,
-                mask: head.mask,
-                lane_bytes: head.lane_bytes,
-                transactions: head.transactions,
-                cycles: head.cycles,
-                addrs: *addrs,
-            });
-        });
+        self.for_each_event(|head, addrs| out.push(head.to_event(*addrs)));
         out
+    }
+}
+
+/// The [`Trace::decode`] visitor: appends each parsed event's head and lane
+/// form to the open launch's slabs.
+#[derive(Debug, Default)]
+struct Builder {
+    done: Vec<DecodedLaunch>,
+    open: Option<DecodedLaunch>,
+}
+
+impl TraceVisitor for Builder {
+    fn launch_begin(&mut self, header: &LaunchHeader) {
+        self.open = Some(DecodedLaunch::new(header.clone()));
+    }
+    fn block_begin(&mut self, block_id: u64, event_count: u64) {
+        if let Some(open) = self.open.as_mut() {
+            open.blocks.push(BlockSpan {
+                id: block_id,
+                start: open.events.len(),
+                len: 0,
+            });
+            // The count is an untrusted varint: clamp the speculative
+            // pre-allocation so a corrupt header cannot demand gigabytes
+            // (or overflow the capacity math) before the event bytes fail
+            // to decode. The irregular slab is never pre-sized: it grows
+            // only with events that actually decoded.
+            let reserve = event_count.min(crate::RESERVE_EVENTS_MAX) as usize;
+            open.events.reserve(reserve);
+        }
+    }
+    fn event_form(&mut self, _block_id: u64, head: &EventHead, lanes: LaneForm<'_>) {
+        if let Some(open) = self.open.as_mut() {
+            let lanes = match lanes {
+                LaneForm::Affine { base, stride } => Lanes::Affine { base, stride },
+                LaneForm::Row(row) => {
+                    open.irregular.push(*row);
+                    Lanes::Irregular(open.irregular.len() - 1)
+                }
+            };
+            open.events.push(Event { head: *head, lanes });
+            if let Some(span) = open.blocks.last_mut() {
+                span.len += 1;
+            }
+        }
+    }
+    fn launch_end(&mut self, end: &LaunchEnd) {
+        if let Some(mut open) = self.open.take() {
+            open.end = *end;
+            // Growth leaves up to half of each slab unused; the launch is
+            // immutable from here on.
+            open.blocks.shrink_to_fit();
+            open.events.shrink_to_fit();
+            open.irregular.shrink_to_fit();
+            self.done.push(open);
+        }
     }
 }
 
@@ -259,74 +359,7 @@ impl Trace {
     /// Propagates [`read_trace`](crate::read_trace)'s
     /// [`TraceError::Malformed`] on corrupt or truncated input.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
-        struct Builder {
-            done: Vec<DecodedLaunch>,
-            open: Option<DecodedLaunch>,
-        }
-        impl TraceVisitor for Builder {
-            fn launch_begin(&mut self, header: &LaunchHeader) {
-                self.open = Some(DecodedLaunch::new(header.clone()));
-            }
-            fn block_begin(&mut self, block_id: u64, event_count: u64) {
-                if let Some(open) = self.open.as_mut() {
-                    open.blocks.push(BlockSpan {
-                        id: block_id,
-                        start: open.events.len(),
-                        len: 0,
-                    });
-                    // The count is an untrusted varint: clamp the
-                    // speculative pre-allocation so a corrupt header
-                    // cannot demand gigabytes (or overflow the capacity
-                    // math) before the event bytes fail to decode. The
-                    // irregular slab is never pre-sized: it grows only
-                    // with events that actually decoded.
-                    let reserve = event_count.min(crate::RESERVE_EVENTS_MAX) as usize;
-                    open.events.reserve(reserve);
-                }
-            }
-            fn event(&mut self, _block_id: u64, ev: &TraceEvent) {
-                if let Some(open) = self.open.as_mut() {
-                    // The decoder leaves inactive lanes zeroed, so both
-                    // forms hold the canonical addresses.
-                    let lanes = match affine_form(ev.mask, &ev.addrs) {
-                        Some((base, stride)) => Lanes::Affine { base, stride },
-                        None => {
-                            open.irregular.push(ev.addrs);
-                            Lanes::Irregular(open.irregular.len() - 1)
-                        }
-                    };
-                    open.events.push(Event {
-                        head: EventHead {
-                            op: ev.op,
-                            warp: ev.warp,
-                            mask: ev.mask,
-                            lane_bytes: ev.lane_bytes,
-                            transactions: ev.transactions,
-                            cycles: ev.cycles,
-                        },
-                        lanes,
-                    });
-                    if let Some(span) = open.blocks.last_mut() {
-                        span.len += 1;
-                    }
-                }
-            }
-            fn launch_end(&mut self, end: &LaunchEnd) {
-                if let Some(mut open) = self.open.take() {
-                    open.end = *end;
-                    // Growth leaves up to half of each slab unused; the
-                    // launch is immutable from here on.
-                    open.blocks.shrink_to_fit();
-                    open.events.shrink_to_fit();
-                    open.irregular.shrink_to_fit();
-                    self.done.push(open);
-                }
-            }
-        }
-        let mut builder = Builder {
-            done: Vec::new(),
-            open: None,
-        };
+        let mut builder = Builder::default();
         crate::format::read_trace(bytes, &mut builder)?;
         Ok(Trace {
             launches: builder.done,
@@ -356,6 +389,7 @@ mod tests {
     use super::*;
     use crate::format::{read_launches, SharedBuffer, TraceWriter};
     use kconv_sim::{GpuSpec, KernelStats, OverlapMode, TraceLaunch, TraceSink, WARP_SIZE};
+    use std::io::Write;
 
     /// splitmix64, as in the format round-trip property test.
     struct Rng(u64);
@@ -455,10 +489,13 @@ mod tests {
         }
     }
 
-    /// Encodes `events` as a one-block launch and decodes it again.
-    fn decode_block(events: &[TraceEvent]) -> Trace {
+    /// A one-launch KTRC stream whose block records `block` writes, either
+    /// through the writer or as raw bytes into the buffer.
+    fn one_launch(
+        block: impl FnOnce(&mut TraceWriter<SharedBuffer>, &mut SharedBuffer),
+    ) -> Vec<u8> {
         let spec = GpuSpec::kepler_k40m();
-        let buf = SharedBuffer::new();
+        let mut buf = SharedBuffer::new();
         let mut w = TraceWriter::new(buf.clone());
         w.launch_begin(&TraceLaunch {
             kernel: "forms",
@@ -470,11 +507,16 @@ mod tests {
             overlap: OverlapMode::Prefetch,
             spec: &spec,
         });
-        w.block_events(0, events);
+        block(&mut w, &mut buf);
         w.launch_end(&KernelStats::default());
         let (_, err) = w.into_inner();
         assert!(err.is_none());
-        Trace::decode(&buf.take()).unwrap()
+        buf.take()
+    }
+
+    /// Encodes `events` as a one-block launch and decodes it again.
+    fn decode_block(events: &[TraceEvent]) -> Trace {
+        Trace::decode(&one_launch(|w, _| w.block_events(0, events))).unwrap()
     }
 
     fn event_with(mask: LaneMask, addr: impl Fn(usize) -> u64) -> TraceEvent {
@@ -554,6 +596,132 @@ mod tests {
             );
             let got = launch.blocks().next().unwrap().to_events();
             assert_eq!(got, vec![ev], "{name}");
+        }
+    }
+
+    /// Asserts that decoding `bytes`, a one-launch stream holding the
+    /// events `source` in block 0, gives the slabs [`affine_form`]
+    /// prescribes for `source`: the same lane forms, irregular rows, affine
+    /// count, heap bytes and events. `read_launches` shares the parser, so
+    /// the oracle starts from the encoded events, not from a second read.
+    fn assert_matches_oracle(name: &str, bytes: &[u8], source: &[TraceEvent]) {
+        let got = &Trace::decode(bytes).unwrap().launches[0];
+        let mut b = Builder::default();
+        b.launch_begin(&got.header);
+        b.block_begin(0, source.len() as u64);
+        for ev in source {
+            let ev = ev.canonical();
+            let head = EventHead {
+                op: ev.op,
+                warp: ev.warp,
+                mask: ev.mask,
+                lane_bytes: ev.lane_bytes,
+                transactions: ev.transactions,
+                cycles: ev.cycles,
+            };
+            let lanes = match affine_form(ev.mask, &ev.addrs) {
+                Some((base, stride)) => LaneForm::Affine { base, stride },
+                None => LaneForm::Row(&ev.addrs),
+            };
+            b.event_form(0, &head, lanes);
+        }
+        b.launch_end(&got.end);
+        let want = &b.done[0];
+        assert_eq!(got.events, want.events, "{name}: heads and lane forms");
+        assert_eq!(got.irregular, want.irregular, "{name}: irregular rows");
+        assert_eq!(got.blocks, want.blocks, "{name}: block spans");
+        assert_eq!(
+            got.affine_event_count(),
+            want.affine_event_count(),
+            "{name}"
+        );
+        assert_eq!(got.heap_bytes(), want.heap_bytes(), "{name}: heap bytes");
+        let canonical: Vec<TraceEvent> = source.iter().map(TraceEvent::canonical).collect();
+        assert_eq!(
+            got.blocks().next().unwrap().to_events(),
+            canonical,
+            "{name}"
+        );
+        let streamed = &read_launches(bytes).unwrap()[0].blocks[0].1;
+        assert_eq!(streamed, &canonical, "{name}: read_launches");
+    }
+
+    /// Contiguous lanes `l0 .. l0 + n`.
+    fn run_mask(l0: usize, n: usize) -> LaneMask {
+        LaneMask((((1u64 << n) - 1) << l0) as u32)
+    }
+
+    /// Every branch of the parser's lane-form choice against the oracle:
+    /// contiguous runs broken at each delta, strides of both signs and
+    /// lengths, wrapping, gapped masks, a lone lane, the empty mask, and
+    /// deltas written as overlong varints.
+    #[test]
+    fn parser_forms_equal_affine_form_at_every_branch_point() {
+        let top = u64::MAX - 40;
+        let strides = [4u64, (-8i64) as u64, 0, 1 << 40, (-200i64) as u64];
+        let mut cases: Vec<(String, TraceEvent)> = Vec::new();
+        for l0 in [0, 1, 17, 31] {
+            let n = WARP_SIZE - l0;
+            let mask = run_mask(l0, n);
+            for &s in &strides {
+                let at = |l: usize| top.wrapping_add((l as u64).wrapping_mul(s));
+                cases.push((format!("l0 {l0} stride {s:#x}"), event_with(mask, at)));
+                for k in 2..n {
+                    // Only delta k differs; the lanes after it keep the
+                    // stride.
+                    let shifted = event_with(mask, |l| at(l).wrapping_add(u64::from(l >= l0 + k)));
+                    cases.push((format!("l0 {l0} stride {s:#x} shift at {k}"), shifted));
+                    // Deltas k and k + 1 differ.
+                    let bumped = event_with(mask, |l| at(l).wrapping_add(u64::from(l == l0 + k)));
+                    cases.push((format!("l0 {l0} stride {s:#x} bump at {k}"), bumped));
+                }
+            }
+            cases.push((
+                format!("lone lane {l0}"),
+                event_with(run_mask(l0, 1), |_| 77),
+            ));
+        }
+        cases.push((
+            "short run".into(),
+            event_with(run_mask(5, 3), |l| 9 * l as u64),
+        ));
+        cases.push(("empty mask".into(), event_with(LaneMask::NONE, |_| 5)));
+        for mask in [0b1001, 0x00ff_00ff, 0x8000_0001, 0xffff_fffe & !(1 << 9)] {
+            let mask = LaneMask(mask);
+            let affine = event_with(mask, |l| 100 + 12 * l as u64);
+            cases.push((format!("gapped {mask:?} affine"), affine));
+            let broken = event_with(mask, |l| 100 + 12 * l as u64 + u64::from(l == 31));
+            cases.push((format!("gapped {mask:?} broken"), broken));
+        }
+        let mut events = Vec::new();
+        for (name, ev) in &cases {
+            let bytes = one_launch(|w, _| w.block_events(0, &[*ev]));
+            assert_matches_oracle(name, &bytes, &[*ev]);
+            events.push(*ev);
+        }
+        // All of them in one block: the irregular rows index launch-wide.
+        let bytes = one_launch(|w, _| w.block_events(0, &events));
+        assert_matches_oracle("all cases", &bytes, &events);
+
+        // Deltas of value 8 (zigzag of +4) written as 0x08, as the
+        // overlong 0x88 0x80 0x00, and as 0x88 0x00: equal values, so
+        // still affine. A last delta of 10 (+5) is not.
+        let stride4 = event_with(LaneMask(0x0f), |l| 1000 + 4 * l as u64);
+        let last_off = event_with(LaneMask(0x0f), |l| 1000 + 4 * l as u64 + u64::from(l == 3));
+        let runs: [(&[u8], TraceEvent); 3] = [
+            (&[0x08, 0x88, 0x80, 0x00, 0x88, 0x00], stride4),
+            (&[0x88, 0x80, 0x00, 0x08, 0x08], stride4),
+            (&[0x08, 0x88, 0x80, 0x00, 0x0a], last_off),
+        ];
+        for (deltas, source) in runs {
+            // Block 0 with one event: op, warp 3, mask 0x0f, 4 bytes/lane,
+            // 1 transaction, 0 cycles, first address 1000, then `deltas`.
+            let mut record = vec![crate::format::TAG_BLOCK, 0, 1];
+            record.extend_from_slice(&[TraceOp::GmLd as u8, 3, 0x0f, 4, 1, 0]);
+            crate::varint::write_u64(&mut record, 1000);
+            record.extend_from_slice(deltas);
+            let bytes = one_launch(|_, buf| buf.write_all(&record).unwrap());
+            assert_matches_oracle(&format!("deltas {deltas:x?}"), &bytes, &[source]);
         }
     }
 

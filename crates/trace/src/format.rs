@@ -46,10 +46,11 @@ use std::sync::{Arc, Mutex};
 
 use kconv_sim::{
     BankWidth, GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceOp,
-    TraceSink, WARP_SIZE,
+    TraceSink, WarpAddrs, WARP_SIZE,
 };
 
-use crate::varint::{write_u64, zigzag, Cursor};
+use crate::decoded::{affine_form, EventHead, LaneForm};
+use crate::varint::{unzigzag, write_u64, zigzag, Cursor};
 use crate::TraceError;
 
 /// File magic: the first four bytes of every trace.
@@ -68,7 +69,7 @@ pub const V2: u8 = 2;
 pub const V1: u8 = 1;
 
 const TAG_LAUNCH_BEGIN: u8 = 1;
-const TAG_BLOCK: u8 = 2;
+pub(crate) const TAG_BLOCK: u8 = 2;
 const TAG_LAUNCH_END: u8 = 3;
 
 fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
@@ -92,39 +93,115 @@ fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
     }
 }
 
-fn decode_event(cur: &mut Cursor<'_>) -> Result<TraceEvent, TraceError> {
+/// Parses one event: its head, then the active lanes' addresses straight
+/// into the event's lane form, so no 32-lane row is built for the affine
+/// events that dominate real traces.
+///
+/// The result is exactly the form [`affine_form`] picks for the decoded
+/// addresses, and the reads (hence every error offset and reason) are the
+/// same as a lane-by-lane parse:
+///
+/// * an empty mask is `Affine { base: 0, stride: 0 }`, one active lane
+///   `Affine { base: a0, stride: 0 }`;
+/// * contiguous active lanes `l0 .. l0 + n` are affine exactly when every
+///   delta's value equals the first one, `d`, which makes the form
+///   `Affine { base: a0 − l0·d, stride: d }` (wrapping). The first delta
+///   that differs switches to filling `row`;
+/// * masks with gaps fill `row` and ask [`affine_form`].
+///
+/// A [`LaneForm::Row`] is therefore never affine; `row` holds the
+/// canonical addresses (inactive lanes zero).
+fn decode_event<'r>(
+    cur: &mut Cursor<'_>,
+    row: &'r mut WarpAddrs,
+) -> Result<(EventHead, LaneForm<'r>), TraceError> {
     let op_tag = cur.read_u8("event op")?;
     let op = TraceOp::from_u8(op_tag).ok_or_else(|| TraceError::Malformed {
         offset: cur.pos(),
         reason: format!("unknown trace op tag {op_tag}"),
     })?;
-    let warp = cur.read_u64("event warp")? as u32;
-    let mask = LaneMask(cur.read_u64("event mask")? as u32);
-    let lane_bytes = cur.read_u64("event lane bytes")? as u32;
-    let transactions = cur.read_u64("event transactions")? as u32;
-    let cycles = cur.read_u64("event cycles")? as u32;
-    let mut addrs = [0u64; WARP_SIZE];
-    let mut prev: Option<u64> = None;
-    for (lane, slot) in addrs.iter_mut().enumerate() {
-        if !mask.is_active(lane) {
-            continue;
-        }
-        let addr = match prev {
-            None => cur.read_u64("event first address")?,
-            Some(p) => p.wrapping_add(cur.read_i64("event address delta")? as u64),
-        };
-        *slot = addr;
-        prev = Some(addr);
-    }
-    Ok(TraceEvent {
+    let head = EventHead {
         op,
-        warp,
-        mask,
-        lane_bytes,
-        transactions,
-        cycles,
-        addrs,
-    })
+        warp: cur.read_u64("event warp")? as u32,
+        mask: LaneMask(cur.read_u64("event mask")? as u32),
+        lane_bytes: cur.read_u64("event lane bytes")? as u32,
+        transactions: cur.read_u64("event transactions")? as u32,
+        cycles: cur.read_u64("event cycles")? as u32,
+    };
+    let bits = head.mask.0;
+    if bits == 0 {
+        return Ok((head, LaneForm::Affine { base: 0, stride: 0 }));
+    }
+    let l0 = bits.trailing_zeros() as usize;
+    let a0 = cur.read_u64("event first address")?;
+    let run = bits >> l0;
+    if run & run.wrapping_add(1) != 0 {
+        // Gapped mask: parse the row, then look for the affine form.
+        *row = [0; WARP_SIZE];
+        row[l0] = a0;
+        read_deltas(cur, row, a0, l0 + 1..WARP_SIZE, bits)?;
+        let lanes = match affine_form(head.mask, row) {
+            Some((base, stride)) => LaneForm::Affine { base, stride },
+            None => LaneForm::Row(row),
+        };
+        return Ok((head, lanes));
+    }
+    let n = run.count_ones() as usize;
+    if n == 1 {
+        return Ok((
+            head,
+            LaneForm::Affine {
+                base: a0,
+                stride: 0,
+            },
+        ));
+    }
+    let z = cur.read_u64("event address delta")?;
+    let d = unzigzag(z) as u64;
+    let mut k = 2;
+    while k < n {
+        k += cur.skip_repeats(z, n - k);
+        if k == n {
+            break;
+        }
+        let zk = cur.read_u64("event address delta")?;
+        if zk == z {
+            k += 1;
+        } else {
+            let dk = unzigzag(zk) as u64;
+            // Lanes l0 .. l0 + k follow the stride; lane l0 + k breaks it.
+            *row = [0; WARP_SIZE];
+            let mut addr = a0;
+            for slot in &mut row[l0..l0 + k] {
+                *slot = addr;
+                addr = addr.wrapping_add(d);
+            }
+            let prev = row[l0 + k - 1].wrapping_add(dk);
+            row[l0 + k] = prev;
+            read_deltas(cur, row, prev, l0 + k + 1..l0 + n, bits)?;
+            return Ok((head, LaneForm::Row(row)));
+        }
+    }
+    let base = a0.wrapping_sub((l0 as u64).wrapping_mul(d));
+    Ok((head, LaneForm::Affine { base, stride: d }))
+}
+
+/// Fills the active lanes of `lanes` (per `mask`) in order, each one delta
+/// past the previous address, starting from `prev`.
+fn read_deltas(
+    cur: &mut Cursor<'_>,
+    row: &mut WarpAddrs,
+    mut prev: u64,
+    lanes: std::ops::Range<usize>,
+    mask: u32,
+) -> Result<(), TraceError> {
+    for lane in lanes {
+        if (mask >> lane) & 1 != 0 {
+            prev = prev.wrapping_add(cur.read_i64("event address delta")? as u64);
+            row[lane] = prev;
+        }
+    }
+    Ok(())
 }
 
 fn encode_spec(buf: &mut Vec<u8>, spec: &GpuSpec) {
@@ -504,6 +581,13 @@ pub trait TraceVisitor {
     fn block_begin(&mut self, _block_id: u64, _event_count: u64) {}
     /// One event of the current block.
     fn event(&mut self, _block_id: u64, _ev: &TraceEvent) {}
+    /// One event of the current block as the parser reads it: its head and
+    /// its lane form. The default expands the form into a [`TraceEvent`]
+    /// and calls [`event`](Self::event); a consumer that keeps the compact
+    /// form (the [`Trace`](crate::Trace) decoder) overrides it.
+    fn event_form(&mut self, block_id: u64, head: &EventHead, lanes: LaneForm<'_>) {
+        self.event(block_id, &head.to_event(lanes.addrs(head.mask)));
+    }
     /// The launch ended. Synthesized with `aborted: true` when the stream
     /// stops inside a launch.
     fn launch_end(&mut self, _end: &LaunchEnd) {}
@@ -533,6 +617,7 @@ pub fn read_trace(bytes: &[u8], visitor: &mut impl TraceVisitor) -> Result<(), T
         });
     }
     let mut launch_open = false;
+    let mut row = [0u64; WARP_SIZE];
     while !cur.is_empty() {
         let tag = cur.read_u8("record tag")?;
         match tag {
@@ -587,8 +672,8 @@ pub fn read_trace(bytes: &[u8], visitor: &mut impl TraceVisitor) -> Result<(), T
                 let count = cur.read_u64("event count")?;
                 visitor.block_begin(block_id, count);
                 for _ in 0..count {
-                    let ev = decode_event(&mut cur)?;
-                    visitor.event(block_id, &ev);
+                    let (head, lanes) = decode_event(&mut cur, &mut row)?;
+                    visitor.event_form(block_id, &head, lanes);
                 }
             }
             TAG_LAUNCH_END => {

@@ -59,7 +59,7 @@ pub mod summary;
 pub mod varint;
 
 pub use analyze::{EfficiencyReport, KernelMeta, LINE_BYTES, WORD_BYTES};
-pub use decoded::{BlockView, DecodedLaunch, EventHead, Trace};
+pub use decoded::{BlockView, DecodedLaunch, EventHead, LaneForm, Trace};
 pub use format::{
     read_launches, read_trace, LaunchEnd, LaunchHeader, LaunchTrace, SharedBuffer, TraceVisitor,
     TraceWriter, MAGIC, V1, V2, V3, VERSION,

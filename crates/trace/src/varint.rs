@@ -55,6 +55,7 @@ impl<'a> Cursor<'a> {
         self.pos >= self.buf.len()
     }
 
+    #[cold]
     fn truncated(&self, what: &str) -> TraceError {
         TraceError::Malformed {
             offset: self.pos,
@@ -82,7 +83,21 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads one unsigned LEB128 varint.
+    #[inline]
     pub fn read_u64(&mut self, what: &str) -> Result<u64, TraceError> {
+        // Most trace fields (small counters, op-sized address deltas) fit
+        // in one byte.
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.read_u64_multi(what),
+        }
+    }
+
+    /// The general LEB128 loop, with the overflow check.
+    fn read_u64_multi(&mut self, what: &str) -> Result<u64, TraceError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -100,6 +115,23 @@ impl<'a> Cursor<'a> {
             }
             shift += 7;
         }
+    }
+
+    /// Consumes up to `max` consecutive one-byte varints of value `v` and
+    /// returns how many it consumed. It stops at the first varint that is
+    /// anything else (another value, a longer encoding of `v`, the end of
+    /// the input) and leaves that one for [`read_u64`](Self::read_u64).
+    pub(crate) fn skip_repeats(&mut self, v: u64, max: usize) -> usize {
+        if v >= 0x80 {
+            return 0;
+        }
+        let n = self.buf[self.pos..]
+            .iter()
+            .take(max)
+            .take_while(|&&b| u64::from(b) == v)
+            .count();
+        self.pos += n;
+        n
     }
 
     /// Reads one zigzag-folded signed varint.

@@ -6,8 +6,9 @@
 //! seeded bit flips, seeded byte splices and hostile header varints —
 //! through all three reader entry points ([`Trace::decode`], the
 //! streaming [`read_trace`] visitor, and [`read_launches`]) and assert
-//! the contract: a typed [`TraceError`] or a well-formed result, never a
-//! panic, never an abort-by-allocation, never a hang.
+//! the contract: a well-formed result or a typed [`TraceError`] (the same
+//! offset and reason from every entry point), never a panic, never an
+//! abort-by-allocation, never a hang.
 
 use kconv_sim::{
     GpuSpec, KernelStats, LaneMask, OverlapMode, TraceEvent, TraceLaunch, TraceOp, TraceSink,
@@ -16,7 +17,8 @@ use kconv_sim::{
 use kconv_tensor::rng::StdRng;
 use kconv_trace::varint::write_u64;
 use kconv_trace::{
-    read_launches, read_trace, SharedBuffer, Trace, TraceVisitor, TraceWriter, MAGIC, V1, V2,
+    read_launches, read_trace, SharedBuffer, Trace, TraceError, TraceVisitor, TraceWriter, MAGIC,
+    V1, V2,
 };
 
 // The wire format is frozen by contract (`format.rs` keeps reading v1/v2
@@ -212,19 +214,27 @@ impl TraceVisitor for Probe {
     }
 }
 
+/// The offset and reason of a failed read; `None` when it succeeded.
+fn failure<T>(result: &Result<T, TraceError>) -> Option<(usize, String)> {
+    match result {
+        Ok(_) => None,
+        Err(TraceError::Malformed { offset, reason }) => Some((*offset, reason.clone())),
+        Err(e) => panic!("an in-memory read failed with an i/o error: {e}"),
+    }
+}
+
 /// Runs all three reader entry points on `bytes`; each must return a
-/// typed result. The return value is whether every path accepted it.
+/// typed result, and a rejection must be the same error (offset and
+/// reason) from every path. The return value is whether every path
+/// accepted it.
 fn decode_all(bytes: &[u8]) -> bool {
-    let a = Trace::decode(bytes).is_ok();
-    let b = read_launches(bytes).is_ok();
+    let a = failure(&Trace::decode(bytes));
+    let b = failure(&read_launches(bytes));
     let mut probe = Probe::default();
-    let c = read_trace(bytes, &mut probe).is_ok();
-    assert_eq!(
-        a, b,
-        "Trace::decode and read_launches must agree on validity"
-    );
-    assert_eq!(b, c, "read_launches and read_trace must agree on validity");
-    a
+    let c = failure(&read_trace(bytes, &mut probe));
+    assert_eq!(a, b, "Trace::decode and read_launches must fail alike");
+    assert_eq!(b, c, "read_launches and read_trace must fail alike");
+    a.is_none()
 }
 
 #[test]
